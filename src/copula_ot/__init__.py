@@ -10,7 +10,6 @@ these over CSV files.
 
 from .distributions import (
     Distribution1D,
-    comonotone_pushforward,
     from_atoms,
     from_quantile,
     from_samples,
@@ -47,7 +46,6 @@ from .oracle import (
     TransportInstance,
     TransportSolution,
     enumerate_extreme_couplings,
-    marginalize,
     monotone_plan_1d,
     solve_exact,
     transport_cost,
@@ -69,7 +67,6 @@ __all__ = [
     "from_atoms",
     "from_quantile",
     "tail_decay_diagnostic",
-    "comonotone_pushforward",
     "CopulaFn",
     "JointCDF",
     "ValidationReport",
@@ -97,7 +94,6 @@ __all__ = [
     "TransportSolution",
     "solve_exact",
     "enumerate_extreme_couplings",
-    "marginalize",
     "monotone_plan_1d",
     "transport_cost",
     "CopulaOTError",

@@ -22,10 +22,10 @@ import numpy as np
 
 from .copulas import built_in_copula, comonotone_support, validate_copula
 from .distances import (
-    norm_equivalence_bounds,
+    _coordinate_reports,
+    _shared_copula_report,
     w1_cdf_area,
     wasserstein_1d,
-    wasserstein_shared_copula,
 )
 from .distributions import Distribution1D, from_samples, tail_decay_diagnostic
 from .errors import CapacityError, CopulaOTError, DomainError
@@ -172,10 +172,8 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     g_margins = [from_samples(b[:, i]) for i in range(b.shape[1])]
     q = args.p if args.q is None else args.q
 
-    per_coord = [
-        wasserstein_1d(fi, gi, args.p).value_pth_power
-        for fi, gi in zip(f_margins, g_margins)
-    ]
+    reports = _coordinate_reports(f_margins, g_margins, args.p)
+    per_coord = [r.value_pth_power for r in reports]
     payload: dict = {
         "command": "distnd",
         "inputs": [args.file_a, args.file_b],
@@ -189,8 +187,8 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
 
     oracle_value = _maybe_oracle_nd(f_margins, g_margins, args.p, q, args.oracle_max_atoms, notices)
     code = EXIT_OK
-    if q == args.p:
-        report = wasserstein_shared_copula(f_margins, g_margins, args.p, q)
+    report = _shared_copula_report(reports, args.p, q)
+    if not report.is_bracket:
         payload["w_p"] = report.value
         payload["w_p_pow_p"] = report.value_pth_power
         if oracle_value is not None:
@@ -201,7 +199,7 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
             if gap > tolerance:
                 code = EXIT_DISAGREEMENT
     else:
-        lower, upper = norm_equivalence_bounds(f_margins, g_margins, args.p, q)
+        lower, upper = report.bracket_pth_power
         payload["bracket_pow_p"] = [lower, upper]
         payload["shared_copula_integral"] = float(sum(per_coord))
         notices.append(

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D
+from .distributions import Distribution1D, _ladder
 from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
 from .oracle import DiscreteCoupling
 
@@ -353,7 +353,7 @@ def comonotone_support(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, n
     """Discrete comonotone joint of several discrete margins.
 
     Merges every margin's cumulative-weight ladder into shared breakpoints
-    and maps each piece to the quantile vector at its midpoint. Returns
+    and maps each piece to the quantile vector on it. Returns
     (points, weights) with points of shape (k, d); the joint's copula is M
     by construction.
     """
@@ -362,11 +362,6 @@ def comonotone_support(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, n
         raise DomainError("need at least one margin")
     if not all(m.is_discrete for m in margins):
         raise DomainError("comonotone support needs discrete margins")
-    breaks = margins[0].cumulative_weights
-    for margin in margins[1:]:
-        breaks = np.union1d(breaks, margin.cumulative_weights)
-    breaks = np.concatenate(([0.0], breaks))
-    widths = np.diff(breaks)
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    points = np.stack([m.quantile_many(mids) for m in margins], axis=1)
+    idx, widths = _ladder(margins)
+    points = np.stack([m.atoms[idx[:, k]] for k, m in enumerate(margins)], axis=1)
     return points, widths

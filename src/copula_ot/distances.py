@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, QUAD_EPS, _quad_checked
+from .distributions import Distribution1D, QUAD_EPS, _ladder, _quad_checked
 from .errors import CopulaOTError, DomainError, PreconditionError
 from .oracle import DiscreteCoupling, monotone_plan_1d, transport_cost
 
@@ -103,19 +103,6 @@ def _require_moment(dist: Distribution1D, p: float) -> None:
         )
 
 
-def _merged_ladder(f: Distribution1D, g: Distribution1D) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoint midpoints and widths of the union of two cumulative ladders.
-
-    Quantile functions are constant on each open piece of the merged ladder,
-    so evaluating at midpoints makes the piecewise integral exact.
-    """
-    breaks = np.union1d(f.cumulative_weights, g.cumulative_weights)
-    breaks = np.concatenate(([0.0], breaks))
-    widths = np.diff(breaks)
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    return mids, widths
-
-
 def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceReport:
     """W_p via the quantile integral of |F^{-1}(u) - G^{-1}(u)|^p over (0, 1).
 
@@ -130,8 +117,8 @@ def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceRe
     _require_moment(f, p)
     _require_moment(g, p)
     if f.is_discrete and g.is_discrete:
-        mids, widths = _merged_ladder(f, g)
-        gaps = np.abs(f.quantile_many(mids) - g.quantile_many(mids))
+        idx, widths = _ladder((f, g))
+        gaps = np.abs(f.atoms[idx[:, 0]] - g.atoms[idx[:, 1]])
         pth = float(np.sum(widths * gaps**p))
         return _point_report(pth, p, p, METHOD_QUANTILE, 0.0)
     pth, abserr = _quad_checked(
@@ -167,14 +154,19 @@ def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
     """W_1 as the area between the two CDFs.
 
     Exact for discrete pairs, where |F - G| is piecewise constant over the
-    merged atom grid.
+    merged atom grid. This works on the x-axis, independently of the
+    u-axis ladder behind :func:`wasserstein_1d`.
     """
     _require_moment(f, 1.0)
     _require_moment(g, 1.0)
     if f.is_discrete and g.is_discrete:
         grid = np.union1d(f.atoms, g.atoms)
-        cf = np.array([f.cdf(x) for x in grid[:-1]])
-        cg = np.array([g.cdf(x) for x in grid[:-1]])
+        cf, cg = (
+            np.concatenate(([0.0], d.cumulative_weights))[
+                np.searchsorted(d.atoms, grid[:-1], side="right")
+            ]
+            for d in (f, g)
+        )
         area = float(np.sum(np.diff(grid) * np.abs(cf - cg)))
         return _point_report(area, 1.0, 1.0, METHOD_CDF_AREA, 0.0)
     lo = min(f.quantile(QUAD_EPS), g.quantile(QUAD_EPS))
@@ -197,9 +189,9 @@ def comonotone_expectation(
     asserts integrability of g along the comonotone path.
     """
     if f.is_discrete and h.is_discrete:
-        mids, widths = _merged_ladder(f, h)
-        fx = f.quantile_many(mids)
-        hx = h.quantile_many(mids)
+        idx, widths = _ladder((f, h))
+        fx = f.atoms[idx[:, 0]]
+        hx = h.atoms[idx[:, 1]]
         return float(sum(w * float(g_fn(a, b)) for w, a, b in zip(widths, fx, hx)))
     value, _ = _quad_checked(
         lambda u: float(g_fn(f.quantile(u), h.quantile(u))),
@@ -350,16 +342,28 @@ def wasserstein_shared_copula(
     q = p if q is None else float(q)
     if p < 1.0 or q < 1.0:
         raise DomainError("orders p and q must be >= 1")
+    return _shared_copula_report(_coordinate_reports(f_margins, g_margins, p), p, q)
+
+
+def _coordinate_reports(
+    f_margins: Sequence[Distribution1D],
+    g_margins: Sequence[Distribution1D],
+    p: float,
+) -> list[DistanceReport]:
     f_margins = tuple(f_margins)
     g_margins = tuple(g_margins)
     if len(f_margins) != len(g_margins) or not f_margins:
         raise DomainError("margin lists must be nonempty and of equal length")
-    reports = [wasserstein_1d(fi, gi, p) for fi, gi in zip(f_margins, g_margins)]
-    total = sum(r.value_pth_power for r in reports)
+    return [wasserstein_1d(fi, gi, p) for fi, gi in zip(f_margins, g_margins)]
+
+
+def _shared_copula_report(reports: Sequence[DistanceReport], p: float, q: float) -> DistanceReport:
+    """The shared-copula report from per-coordinate W_p reports: the point
+    sum of their p-th powers when q == p, otherwise its bracket."""
+    pth_powers = [r.value_pth_power for r in reports]
     error = sum(r.error_bound for r in reports)
     if q == p:
-        return _point_report(total, p, q, METHOD_SHARED_SUM, error)
-    lower, upper = norm_equivalence_bounds(f_margins, g_margins, p, q)
+        return _point_report(sum(pth_powers), p, q, METHOD_SHARED_SUM, error)
     return DistanceReport(
         value=None,
         value_pth_power=None,
@@ -367,7 +371,7 @@ def wasserstein_shared_copula(
         q=q,
         method=METHOD_SHARED_SUM,
         error_bound=error,
-        bracket_pth_power=(lower, upper),
+        bracket_pth_power=_norm_bracket(pth_powers, p, q),
     )
 
 
@@ -386,12 +390,11 @@ def norm_equivalence_bounds(
     """
     p = float(p)
     q = float(q)
-    f_margins = tuple(f_margins)
-    g_margins = tuple(g_margins)
-    if len(f_margins) != len(g_margins) or not f_margins:
-        raise DomainError("margin lists must be nonempty and of equal length")
-    d = len(f_margins)
-    total = sum(
-        wasserstein_1d(fi, gi, p).value_pth_power for fi, gi in zip(f_margins, g_margins)
-    )
+    reports = _coordinate_reports(f_margins, g_margins, p)
+    return _norm_bracket([r.value_pth_power for r in reports], p, q)
+
+
+def _norm_bracket(pth_powers: Sequence[float], p: float, q: float) -> tuple[float, float]:
+    total = sum(pth_powers)
+    d = len(pth_powers)
     return d ** (-1.0 / p) * total, d ** (1.0 / q) * total

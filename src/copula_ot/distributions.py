@@ -28,13 +28,13 @@ __all__ = [
     "from_atoms",
     "from_quantile",
     "tail_decay_diagnostic",
-    "comonotone_pushforward",
     "QUANTILE_TIE_TOL",
     "QUAD_EPS",
 ]
 
 # Cumulative sums of floating weights drift near exact ladder boundaries;
-# without this slack the generalized inverse would skip an atom there.
+# without this slack the generalized inverse would skip an atom there. It is
+# the only tie rule: quantiles and the merged ladder below both apply it.
 QUANTILE_TIE_TOL = 1e-12
 
 # Absolute tolerance on the total weight at construction time.
@@ -44,19 +44,37 @@ WEIGHT_SUM_TOL = 1e-12
 # heavy-tailed measures blow up at 0 and 1.
 QUAD_EPS = 1e-9
 
-DISCRETE = "discrete"
-EMPIRICAL = "empirical"
-PARAMETRIC = "parametric-quantile"
+
+def _atom_index(cum: np.ndarray, u):
+    """Index of the first entry of the cumulative ladder ``cum`` that reaches
+    ``u`` within ``QUANTILE_TIE_TOL``: the quantile's atom, elementwise."""
+    return np.searchsorted(cum, u - QUANTILE_TIE_TOL, side="left")
+
+
+def _ladder(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, np.ndarray]:
+    """The merged cumulative-weight ladder of discrete margins.
+
+    Splits (0, 1] at every margin's cumulative weights. On each piece every
+    quantile function is constant, so the law of (F_1^{-1}(U), ...,
+    F_d^{-1}(U)) puts the piece's length on one atom per margin. Returns
+    (idx, widths): ``idx[k, m]`` is margin m's atom index on piece k, read at
+    the piece midpoint, and ``widths[k]`` is the piece length in u.
+    """
+    breaks = np.unique(np.concatenate([m.cumulative_weights for m in margins]))
+    breaks = np.concatenate(([0.0], breaks))
+    mids = (breaks[:-1] + breaks[1:]) / 2.0
+    idx = np.stack([_atom_index(m.cumulative_weights, mids) for m in margins], axis=1)
+    return idx, np.diff(breaks)
 
 
 @dataclass(frozen=True)
 class Distribution1D:
     """A probability measure on R seen through CDF and quantile evaluation.
 
-    ``kind`` is a semantic tag (``"discrete"``, ``"empirical"`` or
-    ``"parametric-quantile"``), not a storage format: empirical measures are
-    stored as merged discrete atoms, since every downstream formula consumes
-    only the (CDF, quantile) pair.
+    Exactly one backing is given: ``(atoms, weights)`` for discrete and
+    empirical measures, which are stored alike as merged atoms since every
+    downstream formula consumes only the (CDF, quantile) pair, or
+    ``(cdf_fn, quantile_fn)`` for parametric ones.
 
     ``p_moment_order`` is the largest order ``p`` for which membership in
     the Wasserstein space of order ``p`` is asserted. Discrete measures get
@@ -68,7 +86,6 @@ class Distribution1D:
     computations; no numerical inversion is ever attempted here.
     """
 
-    kind: str
     atoms: np.ndarray | None = None
     weights: np.ndarray | None = None
     cdf_fn: Callable[[float], float] | None = None
@@ -77,16 +94,12 @@ class Distribution1D:
     tail_moment_bound: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (DISCRETE, EMPIRICAL):
-            if self.atoms is None or self.weights is None:
-                raise ConstructionError("discrete measure needs atoms and weights")
-        elif self.kind == PARAMETRIC:
-            if self.cdf_fn is None or self.quantile_fn is None:
-                raise ConstructionError(
-                    "parametric measure needs both a CDF and a quantile evaluator"
-                )
-        else:
-            raise ConstructionError(f"unknown distribution kind {self.kind!r}")
+        given = [b is not None for b in (self.atoms, self.weights, self.cdf_fn, self.quantile_fn)]
+        if given not in ([True, True, False, False], [False, False, True, True]):
+            raise ConstructionError(
+                "a measure needs exactly one backing: (atoms, weights) or "
+                "(cdf_fn, quantile_fn)"
+            )
         if not self.p_moment_order >= 1.0:
             raise ConstructionError("p_moment_order must be >= 1")
 
@@ -145,10 +158,7 @@ class Distribution1D:
         if not 0.0 < u <= 1.0:
             raise DomainError(f"quantile requires u in (0, 1], got {u}")
         if self.atoms is not None:
-            idx = int(
-                np.searchsorted(self.cumulative_weights, u - QUANTILE_TIE_TOL, side="left")
-            )
-            return float(self.atoms[idx])
+            return float(self.atoms[_atom_index(self.cumulative_weights, u)])
         return float(self.quantile_fn(u))  # type: ignore[misc]
 
     def quantile_many(self, u: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -157,10 +167,7 @@ class Distribution1D:
         if arr.size and (np.min(arr) <= 0.0 or np.max(arr) > 1.0):
             raise DomainError("quantile requires u in (0, 1]")
         if self.atoms is not None:
-            idx = np.searchsorted(
-                self.cumulative_weights, arr - QUANTILE_TIE_TOL, side="left"
-            )
-            return self.atoms[idx]
+            return self.atoms[_atom_index(self.cumulative_weights, arr)]
         return np.array([float(self.quantile_fn(v)) for v in arr])  # type: ignore[misc]
 
     # -- moments -------------------------------------------------------------
@@ -204,7 +211,7 @@ def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
     weights = counts / arr.size
     atoms.flags.writeable = False
     weights.flags.writeable = False
-    return Distribution1D(kind=EMPIRICAL, atoms=atoms, weights=weights)
+    return Distribution1D(atoms=atoms, weights=weights)
 
 
 def from_atoms(
@@ -234,7 +241,7 @@ def from_atoms(
     merged = np.bincount(inverse, weights=w) / total
     uniq.flags.writeable = False
     merged.flags.writeable = False
-    return Distribution1D(kind=DISCRETE, atoms=uniq, weights=merged)
+    return Distribution1D(atoms=uniq, weights=merged)
 
 
 def from_quantile(
@@ -249,7 +256,6 @@ def from_quantile(
     responsibility, which keeps downstream error bounds compositional.
     """
     return Distribution1D(
-        kind=PARAMETRIC,
         cdf_fn=cdf_fn,
         quantile_fn=quantile_fn,
         p_moment_order=float(p_moment_order),
@@ -284,20 +290,3 @@ def tail_decay_diagnostic(
         out.append((float(x), float(upper), float(lower)))
     return out
 
-
-def comonotone_pushforward(
-    f: Distribution1D,
-    g: Distribution1D,
-    n: int,
-) -> list[tuple[float, float]]:
-    """Deterministic comonotone sample: quantile pairs at midpoints.
-
-    Returns the n pairs (F^{-1}(u_k), G^{-1}(u_k)) with u_k = (k - 1/2)/n,
-    the discretized law of (F^{-1}(U), G^{-1}(U)) for a single uniform U.
-    """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    mids = (np.arange(n) + 0.5) / n
-    fx = f.quantile_many(mids)
-    gx = g.quantile_many(mids)
-    return [(float(a), float(b)) for a, b in zip(fx, gx)]

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .distributions import Distribution1D
+from .distributions import Distribution1D, _ladder
 from .errors import (
     CapacityError,
     CertificationError,
@@ -32,7 +32,6 @@ __all__ = [
     "TransportSolution",
     "solve_exact",
     "enumerate_extreme_couplings",
-    "marginalize",
     "monotone_plan_1d",
     "transport_cost",
 ]
@@ -43,10 +42,6 @@ MASS_CLAMP_TOL = 1e-12
 
 TOTAL_MASS_TOL = 1e-10
 DUAL_CERT_TOL = 1e-9
-
-# Remaining ladder mass below this counts as exhausted, so equal cumulative
-# weights advance both sides at once and no zero-width cell is emitted.
-LADDER_TIE_TOL = 1e-15
 
 
 def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
@@ -223,48 +218,19 @@ def solve_exact(
     return TransportSolution(value, plan, u, v)
 
 
-def marginalize(plan: DiscreteCoupling, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Project a coupling onto one side, returning (atoms, weights)."""
-    if side == "row":
-        return plan.row_points, plan.row_weights
-    if side == "col":
-        return plan.col_points, plan.col_weights
-    raise DomainError(f"side must be 'row' or 'col', got {side!r}")
-
-
 def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling:
     """Comonotone coupling of two discrete measures on R.
 
-    Pairs cumulative-weight intervals in atom order (a northwest ladder
-    merge); ties in the cumulative ladders advance both sides at once so no
-    zero-width cell appears. This realizes the joint law of
+    Puts each piece of the merged cumulative-weight ladder on the atom pair
+    the two quantile functions take there; pieces that the tie rule puts on
+    the same pair add up in one cell. This realizes the joint law of
     (F^{-1}(U), G^{-1}(U)).
     """
     if not (mu.is_discrete and nu.is_discrete):
         raise DomainError("monotone_plan_1d needs discrete measures")
-    wf = mu.weights
-    wg = nu.weights
-    mass = np.zeros((wf.size, wg.size))
-    i = j = 0
-    remaining_f = float(wf[0])
-    remaining_g = float(wg[0])
-    while True:
-        step = min(remaining_f, remaining_g)
-        mass[i, j] += step
-        remaining_f -= step
-        remaining_g -= step
-        advance_f = remaining_f <= LADDER_TIE_TOL
-        advance_g = remaining_g <= LADDER_TIE_TOL
-        if advance_f:
-            i += 1
-            if i < wf.size:
-                remaining_f = float(wf[i])
-        if advance_g:
-            j += 1
-            if j < wg.size:
-                remaining_g = float(wg[j])
-        if i >= wf.size or j >= wg.size:
-            break
+    idx, widths = _ladder((mu, nu))
+    mass = np.zeros((mu.n_atoms, nu.n_atoms))
+    np.add.at(mass, (idx[:, 0], idx[:, 1]), widths)
     return DiscreteCoupling(mu.atoms, nu.atoms, mass)
 
 

@@ -175,6 +175,23 @@ class TestDistNd:
         assert "w_p" not in payload
         assert lower - 1e-9 <= payload["oracle_lp"] <= upper + 1e-9
 
+    @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
+    def test_each_coordinate_computed_once(self, capsys, nd_files, monkeypatch, orders):
+        import copula_ot.distances
+
+        original = copula_ot.distances.wasserstein_1d
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(copula_ot.distances, "wasserstein_1d", counting)
+        monkeypatch.setattr("copula_ot.cli.wasserstein_1d", counting)
+        code, _, _ = run_cli(capsys, "distnd", *nd_files, *orders, "--assume-shared-copula")
+        assert code == 0
+        assert len(calls) == 2
+
 
 class TestCheckCopula:
     def test_comonotonicity_passes(self, capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from copula_ot import (
     ConstructionError,
+    Distribution1D,
     DomainError,
-    comonotone_pushforward,
     from_atoms,
     from_quantile,
     from_samples,
@@ -79,6 +79,15 @@ class TestConstruction:
     def test_parametric_requires_both_evaluators(self):
         with pytest.raises(ConstructionError):
             from_quantile(lambda u: u, None, p_moment_order=2.0)  # type: ignore[arg-type]
+        with pytest.raises(ConstructionError):  # neither backing
+            Distribution1D()
+        with pytest.raises(ConstructionError):  # both backings
+            Distribution1D(
+                atoms=np.array([0.0]),
+                weights=np.array([1.0]),
+                cdf_fn=lambda x: float(x >= 0.0),
+                quantile_fn=lambda u: 0.0,
+            )
 
 
 class TestCdf:
@@ -231,31 +240,3 @@ class TestTailDiagnostic:
         with pytest.raises(DomainError):
             tail_decay_diagnostic(d, 0.0, [1.0])
 
-
-class TestComonotonePushforward:
-    def test_point_masses_every_level(self):
-        d = from_atoms([0.0], [1.0])
-        assert comonotone_pushforward(d, d, 3) == [(0.0, 0.0)] * 3
-
-    def test_two_atom_pairs(self):
-        f = from_atoms([0.0, 1.0], [0.5, 0.5])
-        g = from_atoms([0.0, 2.0], [0.5, 0.5])
-        assert comonotone_pushforward(f, g, 2) == [(0.0, 0.0), (1.0, 2.0)]
-
-    def test_single_level(self):
-        f = from_atoms([1.0], [1.0])
-        g = from_atoms([5.0], [1.0])
-        assert comonotone_pushforward(f, g, 1) == [(1.0, 5.0)]
-
-    def test_rejects_nonpositive_n(self):
-        d = from_samples([1.0])
-        with pytest.raises(DomainError):
-            comonotone_pushforward(d, d, 0)
-
-    @given(discrete_dists(), discrete_dists(), st.integers(1, 40))
-    def test_pairs_are_componentwise_monotone(self, f, g, n):
-        pairs = comonotone_pushforward(f, g, n)
-        xs = [a for a, _ in pairs]
-        ys = [b for _, b in pairs]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)

@@ -12,11 +12,12 @@ from copula_ot import (
     DomainError,
     TransportInstance,
     enumerate_extreme_couplings,
+    comonotone_expectation,
     from_atoms,
-    marginalize,
     monotone_plan_1d,
     solve_exact,
     transport_cost,
+    wasserstein_1d,
 )
 from copula_ot.oracle import DUAL_CERT_TOL
 
@@ -25,6 +26,12 @@ from helpers import random_discrete
 
 def uniform(atoms):
     return from_atoms(atoms, [1.0 / len(atoms)] * len(atoms))
+
+
+def drift_pair():
+    """Ten weights of 0.1 sum to 0.30000000000000004 after three atoms, so
+    these ladders tie at 0.3 only up to cumsum drift."""
+    return uniform(np.arange(10.0)), from_atoms([2.5, 7.5], [0.3, 0.7])
 
 
 class TestSolveExact:
@@ -80,10 +87,8 @@ class TestSolveExact:
         f = random_discrete(rng, max_atoms=10)
         g = random_discrete(rng, max_atoms=10)
         sol = solve_exact(TransportInstance.from_distributions(f, g, p=1.5))
-        _, row_w = marginalize(sol.plan, "row")
-        _, col_w = marginalize(sol.plan, "col")
-        assert np.allclose(row_w, f.weights, atol=1e-10)
-        assert np.allclose(col_w, g.weights, atol=1e-10)
+        assert np.allclose(sol.plan.row_weights, f.weights, atol=1e-10)
+        assert np.allclose(sol.plan.col_weights, g.weights, atol=1e-10)
 
     def test_atom_order_invariance(self, rng):
         f = random_discrete(rng, max_atoms=7)
@@ -144,23 +149,6 @@ class TestEnumerateExtremeCouplings:
 
 
 class TestMarginalize:
-    def test_single_cell(self):
-        plan = DiscreteCoupling([2.0], [7.0], [[1.0]])
-        points, weights = marginalize(plan, "row")
-        assert points.ravel().tolist() == [2.0]
-        assert weights.tolist() == [1.0]
-
-    def test_independence_columns(self):
-        plan = DiscreteCoupling([0.0, 1.0], [0.0, 2.0], [[0.25, 0.25], [0.25, 0.25]])
-        points, weights = marginalize(plan, "col")
-        assert points.ravel().tolist() == [0.0, 2.0]
-        assert np.allclose(weights, [0.5, 0.5])
-
-    def test_side_validation(self):
-        plan = DiscreteCoupling([0.0], [0.0], [[1.0]])
-        with pytest.raises(DomainError):
-            marginalize(plan, "diagonal")
-
     def test_one_sided_cost_contract(self, rng):
         # integrating f(x) against the plan equals integrating against the margin
         f = random_discrete(rng, max_atoms=6)
@@ -189,22 +177,31 @@ class TestMonotonePlan:
 
     def test_margins_and_optimality(self, rng):
         for p in (1.0, 2.0, 3.0):
-            f = random_discrete(rng, max_atoms=9)
-            g = random_discrete(rng, max_atoms=9)
-            plan = monotone_plan_1d(f, g)
-            assert np.allclose(plan.row_weights, f.weights, atol=1e-12)
-            assert np.allclose(plan.col_weights, g.weights, atol=1e-12)
-            lp = solve_exact(TransportInstance.from_distributions(f, g, p))
-            assert transport_cost(plan, p) == pytest.approx(lp.value, rel=1e-9, abs=1e-9)
+            random_pair = (random_discrete(rng, max_atoms=9), random_discrete(rng, max_atoms=9))
+            for f, g in (random_pair, drift_pair()):
+                plan = monotone_plan_1d(f, g)
+                assert int(plan.support().sum()) <= f.n_atoms + g.n_atoms - 1
+                assert np.allclose(plan.row_weights, f.weights, rtol=0.0, atol=1e-12)
+                assert np.allclose(plan.col_weights, g.weights, rtol=0.0, atol=1e-12)
+                lp = solve_exact(TransportInstance.from_distributions(f, g, p)).value
+                closed_forms = (
+                    wasserstein_1d(f, g, p).value_pth_power,
+                    transport_cost(plan, p),
+                    comonotone_expectation(lambda x, y: abs(x - y) ** p, f, g),
+                )
+                for value in closed_forms:
+                    assert value == pytest.approx(lp, rel=1e-9, abs=1e-9)
 
     def test_agrees_with_joint_cdf_extraction(self, rng):
         # the ladder merge and the inclusion-exclusion of min(F, G) are two
         # routes to the same coupling
         from copula_ot import comonotone_joint_2d, coupling_from_joint
 
-        for _ in range(10):
-            f = random_discrete(rng, max_atoms=7)
-            g = random_discrete(rng, max_atoms=7)
+        pairs = [
+            (random_discrete(rng, max_atoms=7), random_discrete(rng, max_atoms=7))
+            for _ in range(10)
+        ]
+        for f, g in pairs + [drift_pair()]:
             merged = monotone_plan_1d(f, g)
             extracted = coupling_from_joint(comonotone_joint_2d(f, g))
             assert np.allclose(merged.mass, extracted.mass, atol=1e-12, rtol=0.0)
