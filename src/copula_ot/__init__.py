@@ -36,7 +36,6 @@ from .distances import (
     comonotone_expectation,
     comonotone_minimality,
     dall_aglio_functional,
-    norm_equivalence_bounds,
     w1_cdf_area,
     wasserstein_1d,
     wasserstein_shared_copula,
@@ -88,7 +87,6 @@ __all__ = [
     "dall_aglio_functional",
     "comonotone_minimality",
     "wasserstein_shared_copula",
-    "norm_equivalence_bounds",
     "DiscreteCoupling",
     "TransportInstance",
     "TransportSolution",

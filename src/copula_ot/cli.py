@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -21,13 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .copulas import built_in_copula, comonotone_support, validate_copula
-from .distances import (
-    _coordinate_reports,
-    _shared_copula_report,
-    w1_cdf_area,
-    wasserstein_1d,
-)
-from .distributions import Distribution1D, from_samples, tail_decay_diagnostic
+from .distances import w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
+from .distributions import from_samples, tail_decay_diagnostic
 from .errors import CapacityError, CopulaOTError, DomainError
 from .oracle import (
     TransportInstance,
@@ -119,6 +115,16 @@ def _max_disagreement(values: Sequence[float]) -> float:
     return worst
 
 
+def _oracle_value(instance: TransportInstance, notices: list[str]) -> float | None:
+    """The certified LP value, or None with a notice when the instance is
+    past the oracle's capacity guard."""
+    try:
+        return solve_exact(instance).value
+    except CapacityError as exc:
+        notices.append(f"oracle omitted: {exc}")
+        return None
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -132,14 +138,9 @@ def cmd_dist1d(args: argparse.Namespace) -> tuple[int, dict]:
     methods = {"quantile_integral": quantile.value_pth_power}
     if args.p == 1.0:
         methods["cdf_area"] = w1_cdf_area(f, g).value_pth_power
-    if f.n_atoms <= args.oracle_max_atoms and g.n_atoms <= args.oracle_max_atoms:
-        instance = TransportInstance.from_distributions(f, g, args.p)
-        methods["oracle_lp"] = solve_exact(instance).value
-    else:
-        notices.append(
-            f"oracle omitted: {f.n_atoms} and {g.n_atoms} atoms exceed the "
-            f"guard of {args.oracle_max_atoms} per side"
-        )
+    oracle_value = _oracle_value(TransportInstance.from_distributions(f, g, args.p), notices)
+    if oracle_value is not None:
+        methods["oracle_lp"] = oracle_value
     disagreement = _max_disagreement(list(methods.values()))
     payload = {
         "command": "dist1d",
@@ -172,8 +173,8 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     g_margins = [from_samples(b[:, i]) for i in range(b.shape[1])]
     q = args.p if args.q is None else args.q
 
-    reports = _coordinate_reports(f_margins, g_margins, args.p)
-    per_coord = [r.value_pth_power for r in reports]
+    report = wasserstein_shared_copula(f_margins, g_margins, args.p, q)
+    per_coord = list(report.per_coordinate_pth_power)
     payload: dict = {
         "command": "distnd",
         "inputs": [args.file_a, args.file_b],
@@ -185,9 +186,11 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
         "notices": notices,
     }
 
-    oracle_value = _maybe_oracle_nd(f_margins, g_margins, args.p, q, args.oracle_max_atoms, notices)
+    instance = TransportInstance(
+        *comonotone_support(f_margins), *comonotone_support(g_margins), p=args.p, q=q
+    )
+    oracle_value = _oracle_value(instance, notices)
     code = EXIT_OK
-    report = _shared_copula_report(reports, args.p, q)
     if not report.is_bracket:
         payload["w_p"] = report.value
         payload["w_p_pow_p"] = report.value_pth_power
@@ -211,26 +214,6 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
             if not (lower - 1e-9 <= oracle_value <= upper + 1e-9):
                 code = EXIT_DISAGREEMENT
     return code, payload
-
-
-def _maybe_oracle_nd(
-    f_margins: list[Distribution1D],
-    g_margins: list[Distribution1D],
-    p: float,
-    q: float,
-    max_atoms: int,
-    notices: list[str],
-) -> float | None:
-    mu_points, mu_weights = comonotone_support(f_margins)
-    nu_points, nu_weights = comonotone_support(g_margins)
-    if mu_points.shape[0] > max_atoms or nu_points.shape[0] > max_atoms:
-        notices.append(
-            f"oracle omitted: comonotone supports of sizes {mu_points.shape[0]} and "
-            f"{nu_points.shape[0]} exceed the guard of {max_atoms} per side"
-        )
-        return None
-    instance = TransportInstance(mu_points, mu_weights, nu_points, nu_weights, p=p, q=q)
-    return solve_exact(instance).value
 
 
 def cmd_check_copula(args: argparse.Namespace) -> tuple[int, dict]:
@@ -361,8 +344,8 @@ def _positive_order(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value < 1.0:
-        raise argparse.ArgumentTypeError("order must be >= 1")
+    if not (math.isfinite(value) and value >= 1.0):
+        raise argparse.ArgumentTypeError("order must be finite and >= 1")
     return value
 
 
@@ -383,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("file_a")
     p1.add_argument("file_b")
     p1.add_argument("--p", type=_positive_order, default=1.0)
-    p1.add_argument("--oracle-max-atoms", type=int, default=64)
     add_common(p1)
     p1.set_defaults(run=cmd_dist1d)
 
@@ -395,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ground-norm order (default: same as --p)")
     pn.add_argument("--assume-shared-copula", action="store_true",
                     help="declare that both inputs share the same copula")
-    pn.add_argument("--oracle-max-atoms", type=int, default=64)
     add_common(pn)
     pn.set_defaults(run=cmd_distnd)
 
@@ -433,7 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (InputError, CopulaOTError) as exc:
+    except CopulaOTError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     emit(payload, args.format)

@@ -14,12 +14,12 @@ p-th power, and silent p-th roots are a classic defect source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, QUAD_EPS, _ladder, _quad_checked
+from .distributions import Distribution1D, QUAD_EPS, _ladder, _order, _quad_checked
 from .errors import CopulaOTError, DomainError, PreconditionError
 from .oracle import DiscreteCoupling, monotone_plan_1d, transport_cost
 
@@ -32,14 +32,11 @@ __all__ = [
     "dall_aglio_functional",
     "comonotone_minimality",
     "wasserstein_shared_copula",
-    "norm_equivalence_bounds",
 ]
 
 METHOD_QUANTILE = "quantile_integral"
 METHOD_CDF_AREA = "cdf_area"
-METHOD_DALL_AGLIO = "dall_aglio"
 METHOD_SHARED_SUM = "shared_copula_sum"
-METHOD_ORACLE = "oracle_lp"
 
 MINIMALITY_SLACK = 1e-9
 
@@ -51,7 +48,8 @@ class DistanceReport:
     ``value`` is W_p itself and ``value_pth_power`` is W_p^p. When the
     requested ground-norm order q differs from the distance order p no exact
     representation exists; the report then carries ``bracket_pth_power``
-    (lower, upper) bounds instead of point values.
+    (lower, upper) bounds instead of point values. Shared-copula reports
+    also carry the per-coordinate W_p^p terms in ``per_coordinate_pth_power``.
     """
 
     value: float | None
@@ -61,6 +59,7 @@ class DistanceReport:
     method: str
     error_bound: float = 0.0
     bracket_pth_power: tuple[float, float] | None = None
+    per_coordinate_pth_power: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.bracket_pth_power is None:
@@ -111,9 +110,7 @@ def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceRe
     quadrature on (QUAD_EPS, 1 - QUAD_EPS) with the quadrature estimate
     reported in ``error_bound``.
     """
-    p = float(p)
-    if p < 1.0:
-        raise DomainError("Wasserstein order p must be >= 1")
+    p = _order(p, "Wasserstein order p")
     _require_moment(f, p)
     _require_moment(g, p)
     if f.is_discrete and g.is_discrete:
@@ -217,9 +214,7 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     width^p. This stays finite for 1 < p < 2, where the integrand is
     singular on the diagonal but integrable.
     """
-    p = float(p)
-    if p <= 1.0:
-        raise DomainError("the double-integral identity requires p > 1")
+    p = _order(p, "order p of the double-integral identity", strict=True)
     if coupling.dim != 1:
         raise DomainError("this functional is defined for couplings on R")
     row_w = coupling.row_weights
@@ -289,9 +284,7 @@ def comonotone_minimality(
     the same margins, raising if any trial undercuts it by more than the
     numerical slack. Returns the minimum gap min_H I(H) - I(comonotone).
     """
-    p = float(p)
-    if p <= 1.0:
-        raise DomainError("minimality comparison requires p > 1")
+    p = _order(p, "minimality order p", strict=True)
     plan = monotone_plan_1d(f, g)
     base = dall_aglio_functional(plan, p)
     values = []
@@ -329,41 +322,31 @@ def wasserstein_shared_copula(
 ) -> DistanceReport:
     """W_p between two R^d measures declared to share a copula.
 
-    Under that hypothesis W_p^p is the sum of the per-coordinate p-th
+    Under that hypothesis W_p^p is the sum S of the per-coordinate p-th
     powers, equivalently the single integral of the p-norm gap between the
     quantile vectors. Sharing a copula is a caller declaration; nothing here
-    can verify it from marginal data.
+    can verify it from marginal data. The report carries the terms of S.
 
     When the ground-norm order q differs from p no exact representation
-    exists, so the report carries the norm-equivalence bracket instead of a
-    point value.
+    exists. Equivalence of the q- and p-norms on R^d then brackets the
+    distance instead of a point value: with k = d^(p/q - 1),
+
+        min(1, k) * S <= W_{p,q}^p <= max(1, k) * S.
     """
-    p = float(p)
-    q = p if q is None else float(q)
-    if p < 1.0 or q < 1.0:
-        raise DomainError("orders p and q must be >= 1")
-    return _shared_copula_report(_coordinate_reports(f_margins, g_margins, p), p, q)
-
-
-def _coordinate_reports(
-    f_margins: Sequence[Distribution1D],
-    g_margins: Sequence[Distribution1D],
-    p: float,
-) -> list[DistanceReport]:
+    p = _order(p, "Wasserstein order p")
+    q = p if q is None else _order(q, "norm order q")
     f_margins = tuple(f_margins)
     g_margins = tuple(g_margins)
     if len(f_margins) != len(g_margins) or not f_margins:
         raise DomainError("margin lists must be nonempty and of equal length")
-    return [wasserstein_1d(fi, gi, p) for fi, gi in zip(f_margins, g_margins)]
-
-
-def _shared_copula_report(reports: Sequence[DistanceReport], p: float, q: float) -> DistanceReport:
-    """The shared-copula report from per-coordinate W_p reports: the point
-    sum of their p-th powers when q == p, otherwise its bracket."""
-    pth_powers = [r.value_pth_power for r in reports]
+    reports = [wasserstein_1d(fi, gi, p) for fi, gi in zip(f_margins, g_margins)]
+    terms = tuple(r.value_pth_power for r in reports)
+    total = sum(terms)
     error = sum(r.error_bound for r in reports)
     if q == p:
-        return _point_report(sum(pth_powers), p, q, METHOD_SHARED_SUM, error)
+        point = _point_report(total, p, q, METHOD_SHARED_SUM, error)
+        return replace(point, per_coordinate_pth_power=terms)
+    k = len(terms) ** (p / q - 1.0)
     return DistanceReport(
         value=None,
         value_pth_power=None,
@@ -371,30 +354,6 @@ def _shared_copula_report(reports: Sequence[DistanceReport], p: float, q: float)
         q=q,
         method=METHOD_SHARED_SUM,
         error_bound=error,
-        bracket_pth_power=_norm_bracket(pth_powers, p, q),
+        bracket_pth_power=(min(1.0, k) * total, max(1.0, k) * total),
+        per_coordinate_pth_power=terms,
     )
-
-
-def norm_equivalence_bounds(
-    f_margins: Sequence[Distribution1D],
-    g_margins: Sequence[Distribution1D],
-    p: float,
-    q: float,
-) -> tuple[float, float]:
-    """Sandwich for W_{p,q}^p when the norm order differs from p.
-
-    With S the shared-copula integral of the p-norm gap (the coordinate sum
-    of the p-th powers), equivalence of norms on R^d gives
-
-        d^(-1/p) * S <= W_{p,q}^p <= d^(1/q) * S.
-    """
-    p = float(p)
-    q = float(q)
-    reports = _coordinate_reports(f_margins, g_margins, p)
-    return _norm_bracket([r.value_pth_power for r in reports], p, q)
-
-
-def _norm_bracket(pth_powers: Sequence[float], p: float, q: float) -> tuple[float, float]:
-    total = sum(pth_powers)
-    d = len(pth_powers)
-    return d ** (-1.0 / p) * total, d ** (1.0 / q) * total

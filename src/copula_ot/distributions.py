@@ -51,6 +51,23 @@ def _atom_index(cum: np.ndarray, u):
     return np.searchsorted(cum, u - QUANTILE_TIE_TOL, side="left")
 
 
+def _order(
+    value: float,
+    name: str,
+    *,
+    low: float = 1.0,
+    strict: bool = False,
+    error: type[Exception] = DomainError,
+) -> float:
+    """The one check on distance, moment and tail orders: ``value`` as a
+    float, or ``error`` unless it is finite and >= ``low`` (> when strict)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        bound = ">" if strict else ">="
+        raise error(f"{name} must be finite and {bound} {low:g}, got {value!r}")
+    return value
+
+
 def _ladder(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, np.ndarray]:
     """The merged cumulative-weight ladder of discrete margins.
 
@@ -125,12 +142,6 @@ class Distribution1D:
         cum.flags.writeable = False
         return cum
 
-    @property
-    def support_bounds(self) -> tuple[float, float]:
-        if self.atoms is None:
-            raise DomainError("parametric measure has unbounded support metadata")
-        return float(self.atoms[0]), float(self.atoms[-1])
-
     # -- the two fundamental maps -------------------------------------------
 
     def cdf(self, x: float) -> float:
@@ -176,9 +187,7 @@ class Distribution1D:
         """E|X|^p: exact weighted sum for discrete measures, quadrature of
         the quantile representation on (QUAD_EPS, 1 - QUAD_EPS) otherwise.
         """
-        p = float(p)
-        if p < 1.0:
-            raise DomainError("moment order must be >= 1")
+        p = _order(p, "moment order p")
         if self.atoms is not None:
             return float(np.sum(self.weights * np.abs(self.atoms) ** p))
         return _quad_checked(
@@ -277,9 +286,7 @@ def tail_decay_diagnostic(
     compactly supported measures the entries are exactly zero beyond the
     support.
     """
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("tail order r must be positive")
+    r = _order(r, "tail order r", low=0.0, strict=True)
     g = np.asarray(grid, dtype=float).ravel()
     if g.size and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):
         raise DomainError("grid must be strictly increasing and positive")

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .distributions import Distribution1D, _ladder
+from .distributions import Distribution1D, _ladder, _order
 from .errors import (
     CapacityError,
     CertificationError,
@@ -42,6 +42,14 @@ MASS_CLAMP_TOL = 1e-12
 
 TOTAL_MASS_TOL = 1e-10
 DUAL_CERT_TOL = 1e-9
+
+# solve_exact refuses instances with more atoms than this in total. The LP is
+# trusted only at desk scale: at 200 x 200 HiGHS is already about 3e-9
+# relative off, beyond the 1e-9 the closed forms are checked to.
+LP_MAX_TOTAL_ATOMS = 128
+
+# Largest margin size, per side, that enumerate_extreme_couplings accepts.
+MAX_ENUMERATION_SIDE = 4
 
 
 def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
@@ -97,9 +105,9 @@ class DiscreteCoupling:
     def col_weights(self) -> np.ndarray:
         return self.mass.sum(axis=0)
 
-    def support(self, threshold: float = MASS_CLAMP_TOL) -> np.ndarray:
-        """Boolean mask of cells carrying more than ``threshold`` mass."""
-        return self.mass > threshold
+    def support(self) -> np.ndarray:
+        """Boolean mask of cells carrying more than ``MASS_CLAMP_TOL`` mass."""
+        return self.mass > MASS_CLAMP_TOL
 
 
 @dataclass(frozen=True)
@@ -127,12 +135,9 @@ class TransportInstance:
                 raise ConstructionError(f"{name} weights must be strictly positive")
             if abs(float(w.sum()) - 1.0) > 1e-12:
                 raise ConstructionError(f"{name} weights must sum to 1 within 1e-12")
-        if not float(self.p) >= 1.0:
-            raise ConstructionError("cost order p must be >= 1")
-        q = float(self.p) if self.q is None else float(self.q)
-        if not q >= 1.0:
-            raise ConstructionError("norm order q must be >= 1")
-        object.__setattr__(self, "p", float(self.p))
+        p = _order(self.p, "cost order p", error=ConstructionError)
+        q = p if self.q is None else _order(self.q, "norm order q", error=ConstructionError)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         for arr, field in ((mp, "mu_points"), (mw, "mu_weights"), (npts, "nu_points"), (nw, "nu_weights")):
             arr.flags.writeable = False
@@ -152,9 +157,7 @@ class TransportInstance:
 
     @property
     def cost_matrix(self) -> np.ndarray:
-        diff = np.abs(self.mu_points[:, None, :] - self.nu_points[None, :, :])
-        norms = np.sum(diff**self.q, axis=2) ** (1.0 / self.q)
-        return norms**self.p
+        return _ground_cost(self.mu_points, self.nu_points, self.p, self.q)
 
 
 class TransportSolution(NamedTuple):
@@ -164,30 +167,34 @@ class TransportSolution(NamedTuple):
     col_potentials: np.ndarray
 
 
+def _ground_cost(x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray:
+    """The cost matrix ||x_i - y_j||_q ** p between two (k, d) point sets."""
+    diff = np.abs(x[:, None, :] - y[None, :, :])
+    return np.sum(diff**q, axis=2) ** (p / q)
+
+
 def transport_cost(coupling: DiscreteCoupling, p: float, q: float | None = None) -> float:
     """Direct plan cost: sum of mass times ||x_i - y_j||_q ** p."""
-    p = float(p)
-    q = p if q is None else float(q)
-    diff = np.abs(coupling.row_points[:, None, :] - coupling.col_points[None, :, :])
-    cost = np.sum(diff**q, axis=2) ** (p / q)
+    p = _order(p, "cost order p")
+    q = p if q is None else _order(q, "norm order q")
+    cost = _ground_cost(coupling.row_points, coupling.col_points, p, q)
     return float(np.sum(coupling.mass * cost))
 
 
-def solve_exact(
-    instance: TransportInstance,
-    max_total_atoms: int = 128,
-) -> TransportSolution:
+def solve_exact(instance: TransportInstance) -> TransportSolution:
     """Solve the transportation LP exactly and certify the optimum.
 
-    The returned plan and value are accepted only if recovered dual
-    potentials (u, v) satisfy u_i + v_j <= c_ij everywhere and meet it with
-    equality on the support of the plan, both within ``DUAL_CERT_TOL``.
+    Instances with more than ``LP_MAX_TOTAL_ATOMS`` atoms in total raise
+    ``CapacityError``. The returned plan and value are accepted only if
+    recovered dual potentials (u, v) satisfy u_i + v_j <= c_ij everywhere
+    and meet it with equality on the support of the plan, both within
+    ``DUAL_CERT_TOL``.
     """
     m = instance.mu_weights.size
     n = instance.nu_weights.size
-    if m + n > max_total_atoms:
+    if m + n > LP_MAX_TOTAL_ATOMS:
         raise CapacityError(
-            f"instance has {m} + {n} atoms, exceeding the guard of {max_total_atoms}"
+            f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
     cost = instance.cost_matrix
     a_eq = np.zeros((m + n, m * n))
@@ -239,7 +246,6 @@ def enumerate_extreme_couplings(
     nu_weights: Sequence[float] | np.ndarray,
     row_points: Sequence | np.ndarray | None = None,
     col_points: Sequence | np.ndarray | None = None,
-    max_side: int = 4,
 ) -> list[DiscreteCoupling]:
     """All vertices of the transportation polytope with the given margins.
 
@@ -248,13 +254,15 @@ def enumerate_extreme_couplings(
     (edge subsets of size m + n - 1 passing a union-find acyclicity check),
     peels leaves to solve for the unique masses, keeps the nonnegative ones,
     and deduplicates. Vertex counts explode combinatorially, hence the hard
-    size guard.
+    size guard of ``MAX_ENUMERATION_SIDE`` atoms per side.
     """
     mw = np.asarray(mu_weights, dtype=float).ravel()
     nw = np.asarray(nu_weights, dtype=float).ravel()
     m, n = mw.size, nw.size
-    if m > max_side or n > max_side:
-        raise CapacityError(f"margins of size {m} x {n} exceed the guard of {max_side}")
+    if m > MAX_ENUMERATION_SIDE or n > MAX_ENUMERATION_SIDE:
+        raise CapacityError(
+            f"margins of size {m} x {n} exceed the guard of {MAX_ENUMERATION_SIDE}"
+        )
     if abs(float(mw.sum()) - float(nw.sum())) > 1e-9:
         raise DomainError("margins must carry equal total mass")
     rp = np.arange(m, dtype=float) if row_points is None else row_points

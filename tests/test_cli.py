@@ -83,6 +83,17 @@ class TestDist1d:
         _, out, _ = run_cli(capsys, "dist1d", a, b, "--p", "2")
         assert "cdf_area" not in json.loads(out)["methods"]
 
+    def test_oracle_runs_whenever_the_lp_guard_admits(self, capsys, tmp_path, rng):
+        a = tmp_path / "thin.csv"
+        b = tmp_path / "wide.csv"
+        a.write_text("\n".join(str(v) for v in rng.normal(size=30)) + "\n")
+        b.write_text("\n".join(str(v) for v in rng.normal(size=90)) + "\n")
+        code, out, _ = run_cli(capsys, "dist1d", str(a), str(b), "--p", "2")
+        payload = json.loads(out)
+        assert code == 0
+        assert "oracle_lp" in payload["methods"]
+        assert payload["notices"] == []
+
     def test_oracle_omitted_beyond_guard(self, capsys, tmp_path, rng):
         a = tmp_path / "big_a.csv"
         b = tmp_path / "big_b.csv"
@@ -170,10 +181,23 @@ class TestDistNd:
         payload = json.loads(out)
         assert code == 0
         lower, upper = payload["bracket_pow_p"]
-        assert lower == pytest.approx(2 ** -0.5, rel=1e-12)
+        assert lower == pytest.approx(1.0, rel=1e-12)
         assert upper == pytest.approx(2.0, rel=1e-12)
         assert "w_p" not in payload
         assert lower - 1e-9 <= payload["oracle_lp"] <= upper + 1e-9
+
+    def test_bracket_holds_oracle_when_q_below_p(self, capsys, tmp_path):
+        a = tmp_path / "pa.csv"
+        b = tmp_path / "pb.csv"
+        a.write_text("0,0\n")
+        b.write_text("1,1\n")
+        code, out, _ = run_cli(
+            capsys, "distnd", str(a), str(b), "--p", "3", "--q", "1", "--assume-shared-copula"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["bracket_pow_p"] == [pytest.approx(2.0), pytest.approx(8.0)]
+        assert payload["oracle_lp"] == pytest.approx(8.0)
 
     @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
     def test_each_coordinate_computed_once(self, capsys, nd_files, monkeypatch, orders):
@@ -290,6 +314,28 @@ class TestDiagnoseTails:
         path.write_text("1\n")
         code, _, _ = run_cli(capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "3,2")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist1d", "A", "B", "--p", "nan"),
+        ("dist1d", "A", "B", "--p", "inf"),
+        ("distnd", "A", "B", "--q", "inf", "--assume-shared-copula"),
+        ("diagnose-tails", "A", "--r", "nan", "--grid", "1"),
+        ("diagnose-tails", "A", "--r", "inf", "--grid", "1"),
+    ],
+)
+def test_non_finite_order_is_input_error(capsys, sample_files, argv):
+    argv = [sample_files[0] if a == "A" else sample_files[1] if a == "B" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 class TestDeterminismAndRoundTrip:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copula_ot import (
+    ConstructionError,
     CopulaOTError,
     DiscreteCoupling,
     DomainError,
@@ -20,8 +21,8 @@ from copula_ot import (
     from_quantile,
     from_samples,
     monotone_plan_1d,
-    norm_equivalence_bounds,
     solve_exact,
+    tail_decay_diagnostic,
     transport_cost,
     w1_cdf_area,
     wasserstein_1d,
@@ -93,8 +94,9 @@ class TestWasserstein1D:
 
     def test_order_below_one_rejected(self):
         d = from_samples([0.0])
-        with pytest.raises(DomainError):
-            wasserstein_1d(d, d, 0.9)
+        for p in (0.9, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                wasserstein_1d(d, d, p)
 
     def test_missing_moment_assertion(self):
         heavy = from_quantile(lambda u: u, lambda x: x, p_moment_order=1.5)
@@ -253,6 +255,7 @@ class TestSharedCopula:
         g = [from_atoms([3.0], [1.0]), from_atoms([4.0], [1.0])]
         report = wasserstein_shared_copula(f, g, 1.0)
         assert report.value == pytest.approx(7.0, abs=1e-12)
+        assert report.per_coordinate_pth_power == (3.0, 4.0)
 
     def test_coordinate_additivity_against_oracle(self):
         from copula_ot import comonotone_support
@@ -272,9 +275,20 @@ class TestSharedCopula:
         report = wasserstein_shared_copula(f, g, 2.0, 1.0)
         assert report.is_bracket
         assert report.value is None and report.value_pth_power is None
+        assert report.per_coordinate_pth_power == (0.5, 0.5)
         lower, upper = report.bracket_pth_power
-        assert lower == pytest.approx(2.0 ** (-0.5), rel=1e-12)
+        assert lower == pytest.approx(1.0, rel=1e-12)
         assert upper == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p, q", [(2.0, 1.0), (3.0, 1.0), (4.0, 1.5), (2.0, 10.0), (1.0, 2.0)])
+    def test_point_masses_attain_bracket_end(self, p, q):
+        # delta_0 vs delta_(1, 1): every coupling costs ||(1, 1)||_q^p, which
+        # is the upper end of the bracket when q < p and the lower end when q > p.
+        f = [from_atoms([0.0], [1.0])] * 2
+        g = [from_atoms([1.0], [1.0])] * 2
+        lower, upper = wasserstein_shared_copula(f, g, p, q).bracket_pth_power
+        lp = solve_exact(TransportInstance([[0.0, 0.0]], [1.0], [[1.0, 1.0]], [1.0], p=p, q=q)).value
+        assert lp == pytest.approx(upper if q < p else lower, rel=1e-9, abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
@@ -286,7 +300,7 @@ class TestNormEquivalenceBounds:
         f = [random_discrete(rng)]
         g = [random_discrete(rng)]
         s = wasserstein_1d(f[0], g[0], 2.0).value_pth_power
-        lower, upper = norm_equivalence_bounds(f, g, 2.0, 3.0)
+        lower, upper = wasserstein_shared_copula(f, g, 2.0, 3.0).bracket_pth_power
         assert lower == pytest.approx(s, rel=1e-12)
         assert upper == pytest.approx(s, rel=1e-12)
 
@@ -294,20 +308,40 @@ class TestNormEquivalenceBounds:
         half = 2.0 ** (-0.5)
         f = [from_atoms([0.0], [1.0]), from_atoms([0.0], [1.0])]
         g = [from_atoms([half], [1.0]), from_atoms([half], [1.0])]
-        lower, upper = norm_equivalence_bounds(f, g, 2.0, 1.0)
-        assert lower == pytest.approx(2.0 ** (-0.5), rel=1e-12)
+        lower, upper = wasserstein_shared_copula(f, g, 2.0, 1.0).bracket_pth_power
+        assert lower == pytest.approx(1.0, rel=1e-12)
         assert upper == pytest.approx(2.0, rel=1e-12)
 
     def test_identical_margins_collapse_to_zero(self, rng):
         margins = [random_discrete(rng) for _ in range(4)]
-        lower, upper = norm_equivalence_bounds(margins, margins, 2.0, 1.0)
+        lower, upper = wasserstein_shared_copula(margins, margins, 2.0, 1.0).bracket_pth_power
         assert lower == 0.0 and upper == 0.0
 
     def test_ordered(self, rng):
         f = [random_discrete(rng) for _ in range(3)]
         g = [random_discrete(rng) for _ in range(3)]
-        lower, upper = norm_equivalence_bounds(f, g, 2.0, 1.5)
+        lower, upper = wasserstein_shared_copula(f, g, 2.0, 1.5).bracket_pth_power
         assert lower <= upper
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_orders_rejected(bad):
+    d = from_samples([0.0, 1.0])
+    plan = monotone_plan_1d(d, d)
+    calls = [
+        (DomainError, lambda: wasserstein_shared_copula([d], [d], bad)),
+        (DomainError, lambda: wasserstein_shared_copula([d], [d], 2.0, bad)),
+        (DomainError, lambda: transport_cost(plan, bad)),
+        (DomainError, lambda: transport_cost(plan, 2.0, bad)),
+        (ConstructionError, lambda: TransportInstance.from_distributions(d, d, bad)),
+        (ConstructionError, lambda: TransportInstance.from_distributions(d, d, 2.0, bad)),
+        (DomainError, lambda: dall_aglio_functional(plan, bad)),
+        (DomainError, lambda: comonotone_minimality(d, d, bad, [])),
+        (DomainError, lambda: tail_decay_diagnostic(d, bad, [1.0])),
+    ]
+    for error, call in calls:
+        with pytest.raises(error):
+            call()
 
 
 class TestMetricAxioms:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from copula_ot import (
     ConstructionError,
@@ -104,10 +104,13 @@ class TestCdf:
         assert d.cdf(2.5) == d.cdf(2.0)
 
     @given(discrete_dists())
+    @example(from_atoms([np.nextafter(50.0, 0.0), 50.0], [0.5, 0.5]))
     def test_right_continuous_at_every_atom(self, d):
-        gaps = np.diff(np.concatenate([d.atoms, [d.atoms[-1] + 1.0]]))
-        for atom, gap in zip(d.atoms, gaps):
-            assert d.cdf(float(atom)) == d.cdf(float(atom) + gap / 2)
+        # The float just below the next atom lies in [atom, next atom), even
+        # when the two atoms are adjacent floats.
+        nexts = np.concatenate([d.atoms[1:], [d.atoms[-1] + 1.0]])
+        for atom, nxt in zip(d.atoms, nexts):
+            assert d.cdf(float(atom)) == d.cdf(float(np.nextafter(nxt, -np.inf)))
 
     def test_nan_rejected(self):
         d = from_samples([1.0])
@@ -180,8 +183,9 @@ class TestPMoment:
         assert from_samples([1.0, 2.0, 3.0]).p_moment(1.0) == pytest.approx(2.0)
 
     def test_order_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            from_samples([1.0]).p_moment(0.5)
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                from_samples([1.0]).p_moment(p)
 
     @given(
         st.lists(st.floats(-20, 20, allow_nan=False), min_size=1, max_size=30),
