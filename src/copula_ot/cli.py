@@ -53,39 +53,87 @@ class InputError(CopulaOTError):
     """Unparseable or structurally invalid CLI input."""
 
 
+_CSV_FORMAT = {"delimiter": ",", "comments": None, "ndmin": 2, "dtype": float}
+
+
+def _parse(lines, skiprows: int = 0) -> np.ndarray:
+    """The one float grammar of CSV input: ``np.loadtxt``'s."""
+    return np.loadtxt(lines, skiprows=skiprows, **_CSV_FORMAT)
+
+
+def _parses(line: str) -> bool:
+    try:
+        _parse([line])
+    except ValueError:
+        return False
+    return True
+
+
+def _data_start(path: str, handle) -> int:
+    """Number of physical lines before the first data row: leading blank
+    lines and, when the first non-blank line does not parse, that header."""
+    header_seen = False
+    for count, line in enumerate(handle):
+        if line.isspace():
+            continue
+        if header_seen or _parses(line):
+            return count
+        header_seen = True
+    raise InputError(f"{path}: no numeric rows")
+
+
+def _parse_counting_lines(path: str, handle, skip: int) -> np.ndarray:
+    """Parse again from the top, skipping every blank line and counting
+    physical lines, so that a failure names its line.
+
+    ``np.loadtxt`` skips only empty lines, so a line of spaces alone also
+    fails the first parse; this one reads past it and returns the data.
+    """
+    lineno, line = 0, ""
+
+    def data_lines():
+        nonlocal lineno, line
+        for lineno, line in enumerate(handle, start=1):
+            if lineno > skip and not line.isspace():
+                yield line
+
+    handle.seek(0)
+    try:
+        return _parse(data_lines())
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        pass  # loadtxt converts row by row, so `line` is the one that failed
+    if _parses(line):
+        raise InputError(f"{path}: rows have inconsistent column counts")
+    raise InputError(f"{path}:{lineno}: non-numeric value in {line.strip()!r}")
+
+
 def read_csv_columns(path: str, expect_cols: int | None = None) -> np.ndarray:
     """Read a comma-separated numeric file into an (n_rows, n_cols) array.
 
-    Decimal point is '.', a single non-numeric first row is skipped as a
-    header, and blank lines are ignored.
+    Values follow ``np.loadtxt``'s float grammar: '.' decimal point, no '_'
+    digit separators, no comment character. Blank lines are ignored, a UTF-8
+    byte-order mark is dropped, and the first non-blank line is skipped as a
+    header when it does not parse.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            skip = _data_start(path, handle)
+            handle.seek(0)
+            try:
+                data = _parse(handle, skip)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                data = _parse_counting_lines(path, handle, skip)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    rows: list[list[float]] = []
-    seen_line = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        tokens = [tok.strip() for tok in line.split(",")]
-        try:
-            rows.append([float(tok) for tok in tokens])
-        except ValueError:
-            if not seen_line:
-                seen_line = True
-                continue  # single non-numeric header row
-            raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-        seen_line = True
-    if not rows:
-        raise InputError(f"{path}: no numeric rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputError(f"{path}: rows have inconsistent column counts")
-    data = np.asarray(rows, dtype=float)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not np.all(np.isfinite(data)):
         raise InputError(f"{path}: non-finite value in data")
+    width = data.shape[1]
     if expect_cols is not None and width != expect_cols:
         raise InputError(f"{path}: expected {expect_cols} column(s), found {width}")
     return data
@@ -93,14 +141,18 @@ def read_csv_columns(path: str, expect_cols: int | None = None) -> np.ndarray:
 
 def _tolerance(args: argparse.Namespace) -> float:
     if args.tolerance is not None:
-        return float(args.tolerance)
-    env = os.environ.get(TOLERANCE_ENV_VAR)
-    if env is not None:
+        value, source = args.tolerance, "--tolerance"
+    elif (env := os.environ.get(TOLERANCE_ENV_VAR)) is not None:
+        source = f"{TOLERANCE_ENV_VAR}={env!r}"
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
-            raise InputError(f"{TOLERANCE_ENV_VAR}={env!r} is not a number") from None
-    return DEFAULT_TOLERANCE
+            raise InputError(f"{source} is not a number") from None
+    else:
+        return DEFAULT_TOLERANCE
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InputError(f"{source} must be finite and >= 0, got {value}")
+    return value
 
 
 def _relative_gap(a: float, b: float) -> float:
@@ -129,9 +181,9 @@ def _oracle_value(instance: TransportInstance, notices: list[str]) -> float | No
 
 
 def cmd_dist1d(args: argparse.Namespace) -> tuple[int, dict]:
+    tolerance = _tolerance(args)
     f = from_samples(read_csv_columns(args.file_a, expect_cols=1).ravel())
     g = from_samples(read_csv_columns(args.file_b, expect_cols=1).ravel())
-    tolerance = _tolerance(args)
     notices: list[str] = []
 
     quantile = wasserstein_1d(f, g, args.p)
@@ -160,6 +212,7 @@ def cmd_dist1d(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     if not args.assume_shared_copula:
         raise MissingHypothesis(SHARED_COPULA_HYPOTHESIS)
+    tolerance = _tolerance(args)
     a = read_csv_columns(args.file_a)
     b = read_csv_columns(args.file_b)
     if a.shape[1] != b.shape[1]:
@@ -167,7 +220,6 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
             f"width mismatch: {args.file_a} has {a.shape[1]} columns, "
             f"{args.file_b} has {b.shape[1]}"
         )
-    tolerance = _tolerance(args)
     notices: list[str] = []
     f_margins = [from_samples(a[:, i]) for i in range(a.shape[1])]
     g_margins = [from_samples(b[:, i]) for i in range(b.shape[1])]

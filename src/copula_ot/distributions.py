@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConstructionError, DivergenceError, DomainError
 
@@ -199,7 +198,13 @@ class Distribution1D:
 
 
 def _quad_checked(fn, lo: float, hi: float, *, what: str) -> tuple[float, float]:
-    """scipy adaptive quadrature, promoting non-convergence to an error."""
+    """scipy adaptive quadrature, promoting non-convergence to an error.
+
+    scipy.integrate is imported here, not at module level, so that the
+    discrete paths and the CLI start without it.
+    """
+    from scipy import integrate
+
     value, abserr, info, *rest = integrate.quad(fn, lo, hi, limit=200, full_output=1)
     if rest:
         raise DivergenceError(f"quadrature failed for {what}: {rest[0]}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .distributions import Distribution1D, _ladder, _order
 from .errors import (
@@ -196,6 +195,8 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
         raise CapacityError(
             f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
+    from scipy.optimize import linprog  # imported on first use: the CLI starts without scipy
+
     cost = instance.cost_matrix
     a_eq = np.zeros((m + n, m * n))
     for i in range(m):

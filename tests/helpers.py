@@ -1,8 +1,21 @@
 """Shared corpus builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import copula_ot
 from copula_ot import Distribution1D, from_atoms
+
+# Environment for CLI subprocesses: they import copula_ot from where this
+# interpreter found it, so the tests run without installing the package.
+SUBPROCESS_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(copula_ot.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 
 def random_discrete(

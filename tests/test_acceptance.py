@@ -33,7 +33,7 @@ from copula_ot import (
     wasserstein_shared_copula,
 )
 
-from helpers import random_discrete, relative_gap
+from helpers import SUBPROCESS_ENV, random_discrete, relative_gap
 
 SEED = 412
 
@@ -243,11 +243,11 @@ def test_criterion_10_known_closed_forms_and_cli(tmp_path):
         files[name] = str(path)
     run1 = subprocess.run(
         [sys.executable, "-m", "copula_ot", "dist1d", files["a1"], files["b1"], "--p", "1"],
-        capture_output=True,
+        capture_output=True, env=SUBPROCESS_ENV,
     )
     run2 = subprocess.run(
         [sys.executable, "-m", "copula_ot", "dist1d", files["a2"], files["b2"], "--p", "2"],
-        capture_output=True,
+        capture_output=True, env=SUBPROCESS_ENV,
     )
     cli_ok = run1.returncode == 0 and run2.returncode == 0
     cli_w1 = json.loads(run1.stdout)["w_p"] if cli_ok else float("nan")
@@ -270,6 +270,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     a.write_text("0.25\n-1.5\n3\n3\n")
     b.write_text("0\n2\n-0.5\n")
     cmd = [sys.executable, "-m", "copula_ot", "dist1d", str(a), str(b), "--p", "1.5"]
-    outputs = {subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(3)}
+    outputs = {subprocess.run(cmd, capture_output=True, check=True, env=SUBPROCESS_ENV).stdout
+               for _ in range(3)}
     _criterion(11, "CLI output determinism", len(outputs) == 1,
                f"{len(outputs)} distinct outputs over 3 runs")

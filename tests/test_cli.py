@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from copula_ot.cli import main, read_csv_columns, InputError
+from helpers import SUBPROCESS_ENV
 
 
 @pytest.fixture
@@ -56,6 +58,50 @@ class TestCsvIngestion:
     def test_missing_file(self):
         with pytest.raises(InputError):
             read_csv_columns("/nonexistent/samples.csv")
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("\n\n \t\nvalue\n1\n2\n", [[1.0], [2.0]], id="blank-lines-before-header"),
+            pytest.param("value\r\n1\r\n\r\n2\r\n", [[1.0], [2.0]], id="crlf"),
+            pytest.param(" 1 , 2 \n3,\t4\n", [[1.0, 2.0], [3.0, 4.0]], id="spaces-around-tokens"),
+            pytest.param("1\n2", [[1.0], [2.0]], id="no-trailing-newline"),
+            pytest.param("1\n   \n2\n  ", [[1.0], [2.0]], id="whitespace-only-lines-are-blank"),
+            pytest.param("1,2\n1,,2\n", "bad.csv:2: non-numeric value in '1,,2'", id="empty-field"),
+            pytest.param("1\n#1\n", "bad.csv:2: non-numeric value in '#1'", id="hash-is-data"),
+            pytest.param("1\nnan\n", "bad.csv: non-finite value in data", id="nan"),
+            pytest.param("1\n-inf\n", "bad.csv: non-finite value in data", id="inf"),
+            pytest.param("value\n\n", "bad.csv: no numeric rows", id="header-only"),
+            pytest.param("1\n\n3\nbad\n", "bad.csv:4: non-numeric value in 'bad'", id="line-number-counts-blanks"),
+            pytest.param("1\n  \n3\nbad\n", "bad.csv:4: non-numeric value in 'bad'", id="line-number-counts-whitespace"),
+            pytest.param("x\ny\n1\n", "bad.csv:2: non-numeric value in 'y'", id="only-one-header"),
+            pytest.param("1,2\n3,4\n5\n", "bad.csv: rows have inconsistent column counts", id="ragged"),
+            pytest.param("\ufeffvalue\n1\n", [[1.0]], id="byte-order-mark-header"),
+            # Chosen with the np.loadtxt reader: BOM dropped, 1_000 rejected, first fault reported.
+            pytest.param("\ufeff5\n1\n2\n", [[5.0], [1.0], [2.0]], id="byte-order-mark"),
+            pytest.param("1\n1_000\n", "bad.csv:2: non-numeric value in '1_000'", id="digit-separator"),
+            pytest.param("1,2\n3\nabc\n", "bad.csv: rows have inconsistent column counts", id="first-fault-wins"),
+        ],
+    )
+    def test_corpus(self, tmp_path, text, expected):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=re.escape(expected)):
+                read_csv_columns(str(path))
+        else:
+            assert read_csv_columns(str(path)).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "lead",
+        [b"", b"1\n" * 100_000, b"  \n" + b"1\n" * 100_000],
+        ids=["first-block", "deep", "deep-after-whitespace-line"],
+    )
+    def test_undecodable_file(self, tmp_path, lead):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1\n" + lead + b"\xe9\n")
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            read_csv_columns(str(path))
 
 
 class TestDist1d:
@@ -112,12 +158,33 @@ class TestDist1d:
         code, _, err = run_cli(capsys, "dist1d", str(bad), sample_files[1])
         assert code == 2
         assert "non-numeric" in err
+        assert "bad.csv:2:" in err
 
     def test_env_var_tolerance(self, capsys, sample_files, monkeypatch):
         monkeypatch.setenv("COPULA_OT_TOLERANCE", "0.5")
         a, b = sample_files
         _, out, _ = run_cli(capsys, "dist1d", a, b)
         assert json.loads(out)["tolerance"] == 0.5
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_invalid_tolerance_flag(self, capsys, sample_files, value):
+        code, out, err = run_cli(capsys, "dist1d", *sample_files, f"--tolerance={value}")
+        assert code == 2
+        assert out == ""
+        assert "--tolerance must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_invalid_tolerance_env_var(self, capsys, sample_files, monkeypatch, value):
+        monkeypatch.setenv("COPULA_OT_TOLERANCE", value)
+        code, out, err = run_cli(capsys, "dist1d", *sample_files)
+        assert code == 2
+        assert out == ""
+        assert f"COPULA_OT_TOLERANCE='{value}' must be finite and >= 0" in err
+
+    def test_zero_tolerance_accepted(self, capsys, sample_files):
+        code, out, _ = run_cli(capsys, "dist1d", *sample_files, "--tolerance", "0")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 0.0
 
 
 class TestDistNd:
@@ -163,6 +230,16 @@ class TestDistNd:
         )
         assert code == 0
         assert json.loads(out)["w_p"] == pytest.approx(7.0, abs=1e-12)
+
+    def test_ragged_rows(self, capsys, tmp_path, nd_files):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("x,y\n0,0\n1\n")
+        code, out, err = run_cli(
+            capsys, "distnd", nd_files[0], str(ragged), "--assume-shared-copula"
+        )
+        assert code == 2
+        assert out == ""
+        assert "ragged.csv: rows have inconsistent column counts" in err
 
     def test_width_mismatch(self, capsys, tmp_path, nd_files):
         narrow = tmp_path / "narrow.csv"
@@ -338,14 +415,41 @@ def test_non_finite_order_is_input_error(capsys, sample_files, argv):
     assert "must be finite" in captured.err
 
 
+class TestImportBudget:
+    """The CLI's discrete paths never need scipy, so they must not load it."""
+
+    @staticmethod
+    def scipy_modules_after(code: str) -> list[str]:
+        probe = code + "\nimport json\nprint(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=SUBPROCESS_ENV, check=True
+        )
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("module", ["copula_ot", "copula_ot.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert self.scipy_modules_after(f"import sys, {module}") == []
+
+    def test_dist1d_past_the_lp_guard_loads_no_scipy(self, tmp_path, rng):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("\n".join(str(v) for v in rng.normal(size=100)) + "\n")
+        b.write_text("\n".join(str(v) for v in rng.normal(size=100)) + "\n")
+        run = (
+            "import sys\nfrom copula_ot.cli import main\n"
+            f"assert main(['dist1d', {str(a)!r}, {str(b)!r}, '--p', '2']) == 0"
+        )
+        assert self.scipy_modules_after(run) == []
+
+
 class TestDeterminismAndRoundTrip:
     def test_repeated_runs_byte_identical(self, sample_files):
         cmd = [
             sys.executable, "-m", "copula_ot",
             "dist1d", *sample_files, "--p", "1.5",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=SUBPROCESS_ENV)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=SUBPROCESS_ENV)
         assert first.stdout == second.stdout
         assert first.stdout  # non-empty
 
