@@ -410,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+
+    def add_tolerance(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tolerance", type=float, default=None,
                        help=f"method-disagreement tolerance (default {DEFAULT_TOLERANCE}, "
                             f"or ${TOLERANCE_ENV_VAR})")
@@ -419,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("file_b")
     p1.add_argument("--p", type=_positive_order, default=1.0)
     add_common(p1)
+    add_tolerance(p1)
     p1.set_defaults(run=cmd_dist1d)
 
     pn = sub.add_parser("distnd", help="coordinate-additive distance between d-column files")
@@ -430,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--assume-shared-copula", action="store_true",
                     help="declare that both inputs share the same copula")
     add_common(pn)
+    add_tolerance(pn)
     pn.set_defaults(run=cmd_distnd)
 
     pc = sub.add_parser("check-copula", help="validate a built-in copula on a grid")

@@ -74,10 +74,17 @@ class CopulaFn:
         return float(self.eval_point(point))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of a (k, d) array, as a (k,) array."""
         points = np.asarray(points, dtype=float)
-        if self.eval_batch is not None:
-            return np.asarray(self.eval_batch(points), dtype=float)
-        return np.array([float(self.eval_point(row)) for row in points])
+        if self.eval_batch is None:
+            return np.array([float(self.eval_point(row)) for row in points])
+        values = np.asarray(self.eval_batch(points), dtype=float)
+        if values.shape != points.shape[:1]:
+            raise DomainError(
+                f"eval_batch of copula {self.label!r} returned shape {values.shape} "
+                f"for {points.shape[0]} points, expected ({points.shape[0]},)"
+            )
+        return values
 
 
 def comonotonicity_copula(dim: int) -> CopulaFn:
@@ -316,10 +323,12 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
     """Extract the mass matrix of a 2D joint over discrete margins.
 
     Each cell mass is the H-volume of the rectangle around one atom pair,
-    obtained by inclusion-exclusion of H on the atom lattice. Tiny negative
-    volumes (from floating cancellation) are clamped to zero and rows are
-    rescaled to restore the first margin exactly; a materially negative
-    volume means h was not 2-increasing over these margins.
+    obtained by inclusion-exclusion of H on the atom lattice. At the atoms
+    the margin CDFs are the cumulative-weight ladders, so the lattice is
+    one ``batch`` call of the copula on their grid. Tiny negative volumes
+    (from floating cancellation) are clamped to zero and rows are rescaled
+    to restore the first margin exactly; a materially negative volume means
+    h was not 2-increasing over these margins.
     """
     if h.dim != 2:
         raise DomainError("coupling extraction needs a 2-dimensional joint")
@@ -328,10 +337,9 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
         raise DomainError("coupling extraction needs discrete margins")
     xs = f.atoms
     ys = g.atoms
+    u, v = np.meshgrid(f.cumulative_weights, g.cumulative_weights, indexing="ij")
     lattice = np.zeros((xs.size + 1, ys.size + 1))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lattice[i + 1, j + 1] = h((x, y))
+    lattice[1:, 1:] = h.copula.batch(np.stack([u.ravel(), v.ravel()], axis=1)).reshape(u.shape)
     volumes = np.diff(np.diff(lattice, axis=0), axis=1)
     min_volume = float(volumes.min())
     if min_volume < -AXIOM_TOL:

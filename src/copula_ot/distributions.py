@@ -293,6 +293,8 @@ def tail_decay_diagnostic(
     """
     r = _order(r, "tail order r", low=0.0, strict=True)
     g = np.asarray(grid, dtype=float).ravel()
+    if not np.all(np.isfinite(g)):
+        raise DomainError(f"grid values must be finite, got {float(g[~np.isfinite(g)][0])!r}")
     if g.size and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):
         raise DomainError("grid must be strictly increasing and positive")
     out = []

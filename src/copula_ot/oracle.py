@@ -195,14 +195,19 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
         raise CapacityError(
             f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
-    from scipy.optimize import linprog  # imported on first use: the CLI starts without scipy
+    # imported on first use: the CLI starts without scipy
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     cost = instance.cost_matrix
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
+    # Variable i * n + j (cell (i, j)) has a 1 in exactly two constraints:
+    # row i's margin and column j's margin, m + j. Column-compressed, that
+    # is two sorted row indices per column.
+    i, j = np.divmod(np.arange(m * n), n)
+    a_eq = sparse.csc_array(
+        (np.ones(2 * m * n), np.stack([i, m + j], axis=1).ravel(), np.arange(0, 2 * m * n + 1, 2)),
+        shape=(m + n, m * n),
+    )
     b_eq = np.concatenate([instance.mu_weights, instance.nu_weights])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:

@@ -392,6 +392,15 @@ class TestDiagnoseTails:
         code, _, _ = run_cli(capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "3,2")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_grid_is_input_error(self, capsys, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        path.write_text("1\n")
+        code, out, err = run_cli(capsys, "diagnose-tails", str(path), "--r", "1", "--grid", f"1,{bad}")
+        assert code == 2
+        assert out == ""
+        assert "grid" in err and bad in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -413,6 +422,26 @@ def test_non_finite_order_is_input_error(capsys, sample_files, argv):
     assert code == 2
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-copula", "M"),
+        ("oracle-compare", "A", "B"),
+        ("diagnose-tails", "A", "--r", "1", "--grid", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tolerance_only_where_read(capsys, sample_files, argv):
+    # only dist1d and distnd compare methods against a tolerance
+    argv = [sample_files[0] if a == "A" else sample_files[1] if a == "B" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tolerance", "-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --tolerance" in captured.err
 
 
 class TestImportBudget:

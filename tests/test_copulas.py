@@ -11,6 +11,7 @@ from copula_ot import (
     CopulaFn,
     DomainError,
     InvalidJointError,
+    JointCDF,
     built_in_copula,
     comonotone_joint_2d,
     comonotone_support,
@@ -18,6 +19,7 @@ from copula_ot import (
     coupling_from_joint,
     frechet_hoeffding_bounds,
     from_atoms,
+    from_samples,
     independence_copula,
     lower_frechet_bound,
     sklar_join,
@@ -29,6 +31,25 @@ from helpers import random_discrete
 
 def uniform(atoms):
     return from_atoms(atoms, [1.0 / len(atoms)] * len(atoms))
+
+
+def amh_point(u):
+    # Ali-Mikhail-Haq copula at theta = 1, uv / (u + v - uv); given point
+    # by point only, so batches of it go through the eval_point loop; the
+    # atom lattice has no zero coordinate
+    return float(u[0] * u[1] / (u[0] + u[1] - u[0] * u[1]))
+
+
+def per_cell_coupling_mass(h):
+    """coupling_from_joint's mass, built from one h((x, y)) per cell."""
+    f, g = h.margins
+    lattice = np.zeros((f.n_atoms + 1, g.n_atoms + 1))
+    for i, x in enumerate(f.atoms):
+        for j, y in enumerate(g.atoms):
+            lattice[i + 1, j + 1] = h((x, y))
+    volumes = np.diff(np.diff(lattice, axis=0), axis=1)
+    volumes = np.where(volumes < 0.0, 0.0, volumes)
+    return volumes * (f.weights / volumes.sum(axis=1))[:, None]
 
 
 class TestBuiltins:
@@ -240,6 +261,45 @@ class TestCouplingFromJoint:
         fake = CopulaFn(dim=2, eval_point=broken)
         h = sklar_join(fake, [uniform([0.0, 1.0]), uniform([0.0, 1.0])])
         with pytest.raises(InvalidJointError):
+            coupling_from_joint(h)
+
+    @pytest.mark.parametrize("margins", ["rounded-samples", "simplex-atoms"])
+    @pytest.mark.parametrize("copula", ["M", "W", "Pi", "point-only"])
+    def test_lattice_is_one_batch_call(self, monkeypatch, rng, copula, margins):
+        if margins == "rounded-samples":
+            # 64 samples a side, rounded so that atoms merge and ladders tie
+            f = from_samples(np.round(rng.normal(0.0, 1.0, 64), 1))
+            g = from_samples(np.round(rng.normal(0.3, 1.2, 64), 1))
+        else:
+            weights = [np.maximum(rng.dirichlet(np.ones(64)), 1e-9) for _ in range(2)]
+            f = from_atoms(rng.normal(0.0, 1.0, 64), weights[0] / weights[0].sum())
+            g = from_atoms(rng.normal(0.3, 1.2, 64), weights[1] / weights[1].sum())
+        if copula == "point-only":
+            c = CopulaFn(dim=2, eval_point=amh_point, label="AMH")
+        else:
+            c = built_in_copula(copula, 2)
+        h = sklar_join(c, [f, g])
+        reference = per_cell_coupling_mass(h)
+
+        def no_cell_calls(self, x):
+            raise AssertionError("coupling_from_joint evaluated H cell by cell")
+
+        monkeypatch.setattr(JointCDF, "__call__", no_cell_calls)
+        assert np.array_equal(coupling_from_joint(h).mass, reference)
+
+
+class TestBatchShape:
+    @pytest.mark.parametrize(
+        "bad_batch",
+        [lambda pts: pts.min(axis=1)[:-1], lambda pts: pts[:, :1], lambda pts: 0.5],
+        ids=["too-short", "column", "scalar"],
+    )
+    def test_wrong_shape_names_the_copula(self, bad_batch):
+        c = CopulaFn(dim=2, eval_point=lambda u: float(min(u)), label="lopsided", eval_batch=bad_batch)
+        with pytest.raises(DomainError, match="lopsided"):
+            c.batch(np.full((3, 2), 0.5))
+        h = sklar_join(c, [uniform([0.0, 1.0]), uniform([0.0, 2.0])])
+        with pytest.raises(DomainError, match="lopsided"):
             coupling_from_joint(h)
 
 

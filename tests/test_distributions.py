@@ -244,3 +244,9 @@ class TestTailDiagnostic:
         with pytest.raises(DomainError):
             tail_decay_diagnostic(d, 0.0, [1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        d = from_samples([1.0])
+        with pytest.raises(DomainError, match=rf"grid .*{bad!r}"):
+            tail_decay_diagnostic(d, 1.0, [1.0, bad])
+

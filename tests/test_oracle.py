@@ -1,6 +1,7 @@
 """Tests for the exact transport LP oracle and its certificates."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestSolveExact:
         inst = TransportInstance(atoms, w, atoms, w, p=1.0)
         with pytest.raises(CapacityError):
             solve_exact(inst)
+
+    def test_memory_budget_at_64_by_64(self, rng):
+        # a dense (m + n) x mn constraint matrix alone would be 4.2 MB here
+        f = random_discrete(rng, max_atoms=2)
+        solve_exact(TransportInstance.from_distributions(f, f, 2.0))  # scipy import outside the trace
+        atoms = rng.normal(size=(2, 64))
+        w = np.full(64, 1 / 64)
+        inst = TransportInstance(atoms[0], w, atoms[1], w, p=2.0)
+        tracemalloc.start()
+        try:
+            solve_exact(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_dual_certificate_invariants(self, rng):
         for _ in range(20):
