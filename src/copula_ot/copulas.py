@@ -89,8 +89,6 @@ class CopulaFn:
 
 def comonotonicity_copula(dim: int) -> CopulaFn:
     """The upper Frechet-Hoeffding bound M(u) = min(u_1, ..., u_d)."""
-    if dim < 2:
-        raise DomainError("copulas need dimension >= 2")
     return CopulaFn(
         dim=dim,
         eval_point=lambda u: float(np.min(u)),
@@ -105,8 +103,6 @@ def lower_frechet_bound(dim: int) -> CopulaFn:
     A genuine copula only for dim == 2; for dim > 2 it still bounds every
     copula from below but fails the d-increasing axiom.
     """
-    if dim < 2:
-        raise DomainError("needs dimension >= 2")
     return CopulaFn(
         dim=dim,
         eval_point=lambda u: max(float(np.sum(u)) - (dim - 1), 0.0),
@@ -117,8 +113,6 @@ def lower_frechet_bound(dim: int) -> CopulaFn:
 
 def independence_copula(dim: int) -> CopulaFn:
     """The product copula Pi(u) = u_1 * ... * u_d."""
-    if dim < 2:
-        raise DomainError("copulas need dimension >= 2")
     return CopulaFn(
         dim=dim,
         eval_point=lambda u: float(np.prod(u)),
@@ -309,14 +303,7 @@ def frechet_hoeffding_bounds(
     c: CopulaFn, u: Sequence[float]
 ) -> tuple[float, float, float]:
     """(W(u), M(u), c(u)); any validated copula satisfies W <= c <= M."""
-    point = np.asarray(u, dtype=float)
-    if point.shape != (c.dim,):
-        raise DomainError(f"expected a point of length {c.dim}")
-    if np.any(point < 0.0) or np.any(point > 1.0):
-        raise DomainError("point must lie in the unit hypercube")
-    lower = max(float(point.sum()) - (c.dim - 1), 0.0)
-    upper = float(point.min())
-    return lower, upper, float(c(point))
+    return lower_frechet_bound(c.dim)(u), comonotonicity_copula(c.dim)(u), c(u)
 
 
 def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, QUAD_EPS, _ladder, _order, _quad_checked
+from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked
 from .errors import CopulaOTError, DomainError, PreconditionError
 from .oracle import DiscreteCoupling, monotone_plan_1d, transport_cost
 
@@ -107,24 +107,16 @@ def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceRe
 
     Exact for discrete pairs: the integrand is a step function over the
     merged cumulative-weight ladder. Other pairs go through adaptive
-    quadrature on (QUAD_EPS, 1 - QUAD_EPS) with the quadrature estimate
-    reported in ``error_bound``.
+    quadrature on (QUAD_EPS, 1 - QUAD_EPS), split where a discrete margin
+    jumps, with the quadrature estimate reported in ``error_bound``.
     """
     p = _order(p, "Wasserstein order p")
     _require_moment(f, p)
     _require_moment(g, p)
-    if f.is_discrete and g.is_discrete:
-        idx, widths = _ladder((f, g))
-        gaps = np.abs(f.atoms[idx[:, 0]] - g.atoms[idx[:, 1]])
-        pth = float(np.sum(widths * gaps**p))
-        return _point_report(pth, p, p, METHOD_QUANTILE, 0.0)
-    pth, abserr = _quad_checked(
-        lambda u: abs(f.quantile(u) - g.quantile(u)) ** p,
-        QUAD_EPS,
-        1.0 - QUAD_EPS,
-        what=f"quantile integral at order {p}",
+    pth, abserr = _comonotone_integral(
+        (f, g), lambda a, b: abs(a - b) ** p, what=f"quantile integral at order {p}"
     )
-    error = abserr + _tail_error(f, g, p)
+    error = 0.0 if f.is_discrete and g.is_discrete else abserr + _tail_error(f, g, p)
     return _point_report(pth, p, p, METHOD_QUANTILE, error)
 
 
@@ -169,7 +161,11 @@ def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
     lo = min(f.quantile(QUAD_EPS), g.quantile(QUAD_EPS))
     hi = max(f.quantile(1.0 - QUAD_EPS), g.quantile(1.0 - QUAD_EPS))
     area, abserr = _quad_checked(
-        lambda x: abs(f.cdf(x) - g.cdf(x)), lo, hi, what="CDF area"
+        lambda x: abs(f.cdf(x) - g.cdf(x)),
+        lo,
+        hi,
+        what="CDF area",
+        breaks=[d.atoms for d in (f, g) if d.is_discrete],
     )
     return _point_report(area, 1.0, 1.0, METHOD_CDF_AREA, abserr)
 
@@ -182,21 +178,13 @@ def comonotone_expectation(
     """E[g(X, Y)] under the comonotone coupling of f and h.
 
     Evaluates the integral of g(F^{-1}(u), H^{-1}(u)) over (0, 1): an exact
-    finite sum for discrete margins, quadrature otherwise. The caller
+    finite sum for discrete margins, quadrature split where a discrete
+    margin jumps otherwise. ``g_fn`` is called on floats. The caller
     asserts integrability of g along the comonotone path.
     """
-    if f.is_discrete and h.is_discrete:
-        idx, widths = _ladder((f, h))
-        fx = f.atoms[idx[:, 0]]
-        hx = h.atoms[idx[:, 1]]
-        return float(sum(w * float(g_fn(a, b)) for w, a, b in zip(widths, fx, hx)))
-    value, _ = _quad_checked(
-        lambda u: float(g_fn(f.quantile(u), h.quantile(u))),
-        QUAD_EPS,
-        1.0 - QUAD_EPS,
-        what="comonotone expectation",
-    )
-    return value
+    return _comonotone_integral(
+        (f, h), np.vectorize(g_fn, otypes=[float]), what="comonotone expectation"
+    )[0]
 
 
 def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:

@@ -183,31 +183,62 @@ class Distribution1D:
     # -- moments -------------------------------------------------------------
 
     def p_moment(self, p: float) -> float:
-        """E|X|^p: exact weighted sum for discrete measures, quadrature of
-        the quantile representation on (QUAD_EPS, 1 - QUAD_EPS) otherwise.
+        """E|X|^p: exact weighted sum for discrete measures, the comonotone
+        integral of |F^{-1}(u)|^p otherwise.
         """
         p = _order(p, "moment order p")
         if self.atoms is not None:
             return float(np.sum(self.weights * np.abs(self.atoms) ** p))
-        return _quad_checked(
-            lambda u: abs(float(self.quantile_fn(u))) ** p,  # type: ignore[misc]
-            QUAD_EPS,
-            1.0 - QUAD_EPS,
-            what=f"moment of order {p}",
-        )[0]
+        return _comonotone_integral((self,), lambda a: abs(a) ** p, what=f"moment of order {p}")[0]
 
 
-def _quad_checked(fn, lo: float, hi: float, *, what: str) -> tuple[float, float]:
+def _comonotone_integral(
+    margins: Sequence[Distribution1D], integrand: Callable, *, what: str
+) -> tuple[float, float]:
+    """(value, abserr) of the integral of integrand(F_1^{-1}(u), ...,
+    F_d^{-1}(u)) over (0, 1): the expectation under the comonotone joint.
+
+    When every margin is discrete the integrand is a step function on the
+    merged ladder, so it is called once on arrays of the pieces' atoms and
+    the sum is exact. Otherwise it is called on floats by quadrature on
+    (QUAD_EPS, 1 - QUAD_EPS), split at the discrete margins' cumulative
+    weights, where the integrand jumps.
+    """
+    if all(m.is_discrete for m in margins):
+        idx, widths = _ladder(margins)
+        values = integrand(*(m.atoms[idx[:, k]] for k, m in enumerate(margins)))
+        return float(np.sum(widths * values)), 0.0
+    return _quad_checked(
+        lambda u: integrand(*(m.quantile(u) for m in margins)),
+        QUAD_EPS,
+        1.0 - QUAD_EPS,
+        what=what,
+        breaks=[m.cumulative_weights for m in margins if m.is_discrete],
+    )
+
+
+def _quad_checked(fn, lo: float, hi: float, *, what: str, breaks=()) -> tuple[float, float]:
     """scipy adaptive quadrature, promoting non-convergence to an error.
 
-    scipy.integrate is imported here, not at module level, so that the
-    discrete paths and the CLI start without it.
+    ``breaks`` holds arrays of points where ``fn`` may jump; those strictly
+    inside (lo, hi) split the integral, on top of 200 adaptive
+    subdivisions. scipy.integrate is imported here, not at module level, so
+    that the discrete paths and the CLI start without it.
     """
     from scipy import integrate
 
-    value, abserr, info, *rest = integrate.quad(fn, lo, hi, limit=200, full_output=1)
+    inner = np.unique(np.concatenate([np.empty(0), *breaks]))
+    inner = inner[(inner > lo) & (inner < hi)]
+    value, abserr, info, *rest = integrate.quad(
+        fn,
+        lo,
+        hi,
+        limit=200 + 4 * inner.size,
+        points=inner if inner.size else None,
+        full_output=1,
+    )
     if rest:
-        raise DivergenceError(f"quadrature failed for {what}: {rest[0]}")
+        raise DivergenceError(f"quadrature failed for {what} on ({lo!r}, {hi!r}): {rest[0]}")
     return float(value), float(abserr)
 
 

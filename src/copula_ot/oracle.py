@@ -43,8 +43,8 @@ TOTAL_MASS_TOL = 1e-10
 DUAL_CERT_TOL = 1e-9
 
 # solve_exact refuses instances with more atoms than this in total. The LP is
-# trusted only at desk scale: at 200 x 200 HiGHS is already about 3e-9
-# relative off, beyond the 1e-9 the closed forms are checked to.
+# for desk scale: the cost and the certificate are dense m x n matrices, and
+# HiGHS's time grows with m * n variables.
 LP_MAX_TOTAL_ATOMS = 128
 
 # Largest margin size, per side, that enumerate_extreme_couplings accepts.
@@ -209,7 +209,16 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
         shape=(m + n, m * n),
     )
     b_eq = np.concatenate([instance.mu_weights, instance.nu_weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default feasibility tolerances (1e-7) are looser than the
+    # certificate below; at those, floored 1e-9 weights fail it.
+    res = linprog(
+        cost.ravel(),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
     if res.status != 0:
         raise CertificationError(f"LP solver failed with status {res.status}: {res.message}")
 
@@ -256,10 +265,11 @@ def enumerate_extreme_couplings(
     """All vertices of the transportation polytope with the given margins.
 
     A vertex is a feasible plan whose support is a spanning forest of the
-    bipartite supply/demand graph. Enumeration walks every spanning tree
-    (edge subsets of size m + n - 1 passing a union-find acyclicity check),
-    peels leaves to solve for the unique masses, keeps the nonnegative ones,
-    and deduplicates. Vertex counts explode combinatorially, hence the hard
+    bipartite supply/demand graph. Enumeration walks every edge subset of
+    size m + n - 1 and peels leaves to solve for the unique masses; a subset
+    that is not a spanning tree contains a cycle, which peeling cannot
+    consume, so it yields no masses. It keeps the nonnegative ones and
+    deduplicates. Vertex counts explode combinatorially, hence the hard
     size guard of ``MAX_ENUMERATION_SIDE`` atoms per side.
     """
     mw = np.asarray(mu_weights, dtype=float).ravel()
@@ -278,8 +288,6 @@ def enumerate_extreme_couplings(
     seen: set[tuple] = set()
     vertices: list[DiscreteCoupling] = []
     for tree in itertools.combinations(edges, m + n - 1):
-        if not _is_spanning_tree(tree, m, n):
-            continue
         mass = _solve_tree_masses(tree, mw, nw)
         if mass is None or float(mass.min()) < -MASS_CLAMP_TOL:
             continue
@@ -292,39 +300,19 @@ def enumerate_extreme_couplings(
     return vertices
 
 
-def _is_spanning_tree(tree: Sequence[tuple[int, int]], m: int, n: int) -> bool:
-    parent = list(range(m + n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in tree:
-        ra, rb = find(i), find(m + j)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    root = find(0)
-    return all(find(k) == root for k in range(m + n))
-
-
 def _solve_tree_masses(
     tree: Sequence[tuple[int, int]],
     mu_weights: np.ndarray,
     nu_weights: np.ndarray,
 ) -> np.ndarray | None:
-    """Peel tree leaves to recover the unique masses on its edges."""
+    """Peel tree leaves to recover the unique masses on its edges, or None
+    when the edges do not form a spanning tree."""
     m, n = mu_weights.size, nu_weights.size
     supply = np.concatenate([mu_weights, nu_weights]).astype(float)
     adjacency: dict[int, set[int]] = {k: set() for k in range(m + n)}
-    edge_of = {}
-    for idx, (i, j) in enumerate(tree):
+    for i, j in tree:
         adjacency[i].add(m + j)
         adjacency[m + j].add(i)
-        edge_of[(i, m + j)] = idx
-        edge_of[(m + j, i)] = idx
     mass = np.zeros((m, n))
     leaves = [k for k, nbrs in adjacency.items() if len(nbrs) == 1]
     for _ in range(len(tree)):

@@ -176,6 +176,33 @@ class TestComonotoneExpectation:
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+class TestMixedPairs:
+    """A discrete margin against a parametric one: the quantile integrand
+    jumps at every cumulative weight and the CDF area at every atom."""
+
+    @pytest.mark.parametrize("n", [20, 200])
+    def test_empirical_against_normal(self, n):
+        from scipy import stats
+
+        normal = from_quantile(stats.norm.ppf, stats.norm.cdf, math.inf)
+        sample = from_samples(np.random.default_rng(n).normal(size=n))
+        w1 = wasserstein_1d(sample, normal, 1.0).value
+        assert w1 == pytest.approx(w1_cdf_area(sample, normal).value, rel=1e-7)
+        w2 = wasserstein_1d(sample, normal, 2.0).value_pth_power
+        # math.fabs takes floats only: g_fn is never called on arrays
+        got = comonotone_expectation(lambda a, b: math.fabs(a - b) ** 2, sample, normal)
+        assert got == pytest.approx(w2, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 20, 200])
+    def test_grid_against_uniform(self, n):
+        grid = uniform([k / n for k in range(n)])
+        u01 = from_quantile(lambda u: u, lambda x: min(1.0, max(0.0, x)), math.inf)
+        assert wasserstein_1d(grid, u01, 1.0).value == pytest.approx(1 / (2 * n), abs=1e-9)
+        assert wasserstein_1d(grid, u01, 2.0).value_pth_power == pytest.approx(
+            1 / (3 * n**2), abs=1e-9
+        )
+
+
 class TestDallAglioFunctional:
     def test_forced_unit_cost(self):
         coupling = DiscreteCoupling([0.0], [1.0], [[1.0]])

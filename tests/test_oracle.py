@@ -35,6 +35,67 @@ def drift_pair():
     return uniform(np.arange(10.0)), from_atoms([2.5, 7.5], [0.3, 0.7])
 
 
+def floored_weight_pair():
+    """A 31 x 35 random-simplex pair whose weights were floored at 1e-9. At
+    HiGHS's default feasibility tolerances its p = 2 LP fails the dual
+    certificate."""
+    f = [
+        -0.441937154595038, 0.3640802157351552, 0.774016680584401,
+        0.03739745290253273, -0.03896237251219072, 1.0703224676114749,
+        0.749897322658332, -1.076866621789236, -1.695519099017786,
+        -1.517253061606359, 1.1915520579327445, 0.4462035091202311,
+        0.701880208961858, 0.928298445034353, 0.3288403855505057,
+        1.6025927921519758, 1.2053965562727025, -0.024394537453412773,
+        -0.5846543001577217, 0.05608792903356995, 0.21090188459377449,
+        -0.23105613189989682, 1.454406600180896, -0.5688891017682449,
+        -0.20752354760983605, 1.1282218753385433, -0.3605454050299933,
+        -0.3607255015942055, -0.2605362946822116, -2.2047989118444216,
+        -0.13498999686984806,
+    ]
+    wf = [
+        0.03732193446308398, 0.0062960610681342555, 0.06636582754604647,
+        0.018552878671841678, 0.04237102571315913, 0.016211482202774366,
+        0.05536685623114597, 0.11309781222982286, 0.020966902688762022,
+        0.024978058661275237, 3.6643698223097945e-05, 0.00969755015903786,
+        0.023255867682057018, 0.001349708691506414, 0.05986429666792376,
+        0.04914534939438501, 0.010843356571217103, 0.04647156546973843,
+        0.005334383224185797, 0.0017290127307764355, 0.04845545452319259,
+        0.0028599008254845005, 0.00184938907643528, 0.0006713315256026475,
+        0.005569289282602277, 0.12012713869360805, 0.013614561074988311,
+        0.003206835816134242, 0.04361670191595563, 0.10882072858884656,
+        0.04195209491205315,
+    ]
+    g = [
+        0.5408283642452543, 0.9483087992219172, 0.34809986243286106,
+        1.4109504460829183, 1.8193817185150893, -1.5900871474546456,
+        0.28335848956764215, -1.5255197341227182, 1.319300671490059,
+        -1.0868335082935463, -1.0766476443883977, -0.012334341678941152,
+        -1.6112870392924434, -1.3647444431747116, -0.04994541324405033,
+        0.043246605280302, 1.1948907360106327, -0.0067762941288639356,
+        0.421746546433075, 0.8982422728317414, 0.9381072297177797,
+        -0.8918618528457829, 0.7368588568101967, -0.04980837638478308,
+        -0.9317957838214528, -0.7229903161168723, 2.650994400556352,
+        0.16660450562641865, 0.07427178065320755, -1.5333011292805796,
+        1.2422178806334396, 0.44195138085052, 0.15466204188306282,
+        1.9565567901120569, 1.6503253894352685,
+    ]
+    wg = [
+        0.08381119065878574, 0.0011086046932002355, 0.05911233895328153,
+        0.023068710154859475, 0.03428546918882155, 0.015205263517046763,
+        0.013695501020640046, 0.010882904343634828, 0.024566157531937204,
+        0.0001332664771345886, 0.0006927589797776981, 0.012670975160598097,
+        0.06661431447678948, 0.009731979248743909, 0.05624928970719094,
+        0.03719803465122059, 0.015766251771460384, 0.0025234522200659527,
+        0.023593923081985872, 0.06826714755346512, 0.005842362578609635,
+        0.04603910819502591, 0.06420932607488959, 0.027864488486125306,
+        0.001749192687617194, 0.10992675700422049, 0.02051604869648472,
+        0.025371652691461365, 0.005999130369899067, 0.00601426528065261,
+        0.0030924520818410343, 0.015381636472567841, 0.01365092762525868,
+        0.018929522141135774, 0.07623559622357087,
+    ]
+    return from_atoms(f, wf), from_atoms(g, wg)
+
+
 class TestSolveExact:
     def test_identical_point_masses(self):
         inst = TransportInstance([0.0], [1.0], [0.0], [1.0], p=2.0)
@@ -120,6 +181,11 @@ class TestSolveExact:
     def test_weight_sum_mismatch_rejected(self):
         with pytest.raises(ConstructionError):
             TransportInstance([0.0, 1.0], [0.5, 0.4], [0.0], [1.0], p=1.0)
+
+    def test_floored_weights_certify(self):
+        f, g = floored_weight_pair()
+        sol = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+        assert sol.value == pytest.approx(wasserstein_1d(f, g, 2.0).value_pth_power, rel=1e-9)
 
 
 class TestEnumerateExtremeCouplings:
