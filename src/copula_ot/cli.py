@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .copulas import built_in_copula, comonotone_support, validate_copula
+from .copulas import built_in_copula, validate_copula
 from .distances import w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
 from .distributions import from_samples, tail_decay_diagnostic
 from .errors import CapacityError, CopulaOTError, DomainError
@@ -46,6 +46,10 @@ SHARED_COPULA_HYPOTHESIS = (
     "refusing to run: multi-dimensional coordinate additivity holds only when "
     "both measures share the same copula, which cannot be inferred from marginal "
     "data; pass --assume-shared-copula to declare that hypothesis explicitly"
+)
+CONTRADICTED_HYPOTHESIS = (
+    "the data contradict the shared-copula declaration: the transport LP on the "
+    "rows disagrees with the coordinate-additive result"
 )
 
 
@@ -238,8 +242,10 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
         "notices": notices,
     }
 
+    # The oracle runs on the rows themselves, so it sees the copulas of the
+    # data: when they differ, the LP moves off the shared-copula result.
     instance = TransportInstance(
-        *comonotone_support(f_margins), *comonotone_support(g_margins), p=args.p, q=q
+        a, np.full(len(a), 1.0 / len(a)), b, np.full(len(b), 1.0 / len(b)), p=args.p, q=q
     )
     oracle_value = _oracle_value(instance, notices)
     code = EXIT_OK
@@ -265,6 +271,8 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
             payload["oracle_lp"] = oracle_value
             if not (lower - 1e-9 <= oracle_value <= upper + 1e-9):
                 code = EXIT_DISAGREEMENT
+    if code == EXIT_DISAGREEMENT:
+        notices.append(CONTRADICTED_HYPOTHESIS)
     return code, payload
 
 
@@ -284,18 +292,12 @@ def cmd_check_copula(args: argparse.Namespace) -> tuple[int, dict]:
             check.name: {
                 "passed": check.passed,
                 "worst": check.worst,
-                "witnesses": [list(map(_jsonable, w)) for w in check.witnesses],
+                "witnesses": check.witnesses,
             }
             for check in report.checks
         },
     }
     return EXIT_OK, payload
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def cmd_oracle_compare(args: argparse.Namespace) -> tuple[int, dict]:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, _ladder, _order
+from .distributions import WEIGHT_SUM_TOL, Distribution1D, _ladder, _order
 from .errors import (
     CapacityError,
     CertificationError,
@@ -132,8 +132,8 @@ class TransportInstance:
                 raise ConstructionError(f"{name} weights do not match its atoms")
             if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
                 raise ConstructionError(f"{name} weights must be strictly positive")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ConstructionError(f"{name} weights must sum to 1 within 1e-12")
+            if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+                raise ConstructionError(f"{name} weights must sum to 1 within {WEIGHT_SUM_TOL}")
         p = _order(self.p, "cost order p", error=ConstructionError)
         q = p if self.q is None else _order(self.q, "norm order q", error=ConstructionError)
         object.__setattr__(self, "p", p)
@@ -187,7 +187,8 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     ``CapacityError``. The returned plan and value are accepted only if
     recovered dual potentials (u, v) satisfy u_i + v_j <= c_ij everywhere
     and meet it with equality on the support of the plan, both within
-    ``DUAL_CERT_TOL``.
+    ``DUAL_CERT_TOL`` times the largest cost (at least 1), since the
+    potentials carry rounding on the scale of the costs.
     """
     m = instance.mu_weights.size
     n = instance.nu_weights.size
@@ -230,10 +231,11 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     potentials = np.asarray(res.eqlin.marginals, dtype=float)
     u, v = potentials[:m], potentials[m:]
     slack = cost - (u[:, None] + v[None, :])
-    if float(slack.min()) < -DUAL_CERT_TOL:
+    slack_tol = DUAL_CERT_TOL * max(1.0, float(cost.max()))
+    if float(slack.min()) < -slack_tol:
         raise CertificationError("dual infeasibility: u_i + v_j exceeds the cost somewhere")
     support = plan.support()
-    if support.any() and float(np.max(np.abs(slack[support]))) > DUAL_CERT_TOL:
+    if support.any() and float(np.max(np.abs(slack[support]))) > slack_tol:
         raise CertificationError("complementary slackness fails on the plan support")
     if abs(float(b_eq @ potentials) - value) > max(DUAL_CERT_TOL, DUAL_CERT_TOL * abs(value)):
         raise CertificationError("dual objective does not match the primal value")

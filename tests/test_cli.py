@@ -140,6 +140,19 @@ class TestDist1d:
         assert "oracle_lp" in payload["methods"]
         assert payload["notices"] == []
 
+    def test_certificate_scales_with_the_cost(self, capsys, tmp_path):
+        # costs near 1e8: an absolute 1e-9 dual slack is below float resolution
+        rng = np.random.default_rng(0)
+        a = tmp_path / "wide_a.csv"
+        b = tmp_path / "wide_b.csv"
+        np.savetxt(a, rng.normal(0.0, 1e4, 30))
+        np.savetxt(b, rng.normal(0.0, 1e4, 30))
+        code, out, err = run_cli(capsys, "dist1d", str(a), str(b), "--p", "2")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert "oracle_lp" in payload["methods"]
+        assert payload["max_method_disagreement"] <= payload["tolerance"]
+
     def test_oracle_omitted_beyond_guard(self, capsys, tmp_path, rng):
         a = tmp_path / "big_a.csv"
         b = tmp_path / "big_b.csv"
@@ -275,6 +288,34 @@ class TestDistNd:
         assert code == 0
         assert payload["bracket_pow_p"] == [pytest.approx(2.0), pytest.approx(8.0)]
         assert payload["oracle_lp"] == pytest.approx(8.0)
+
+    def test_oracle_runs_on_the_rows(self, capsys, tmp_path):
+        # (x, x) has copula M and (y, -y) copula W: the margins alone cannot
+        # tell, the rows can
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=20), rng.normal(size=20)
+        a = tmp_path / "upward.csv"
+        b = tmp_path / "downward.csv"
+        np.savetxt(a, np.c_[x, x], delimiter=",")
+        np.savetxt(b, np.c_[y, -y], delimiter=",")
+        code, out, _ = run_cli(capsys, "distnd", str(a), str(b), "--p", "2", "--assume-shared-copula")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["oracle_lp"] > 10 * payload["w_p_pow_p"]
+        assert any("contradict the shared-copula declaration" in n for n in payload["notices"])
+
+    @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
+    def test_rows_sharing_a_copula_agree(self, capsys, tmp_path, orders):
+        # B applies an increasing map to each coordinate of A's rows
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(25, 2))
+        a = tmp_path / "base.csv"
+        b = tmp_path / "mapped.csv"
+        np.savetxt(a, rows, delimiter=",")
+        np.savetxt(b, np.c_[np.exp(rows[:, 0]), rows[:, 1] ** 3], delimiter=",")
+        code, out, _ = run_cli(capsys, "distnd", str(a), str(b), *orders, "--assume-shared-copula")
+        assert code == 0
+        assert not any("contradict" in n for n in json.loads(out)["notices"])
 
     @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
     def test_each_coordinate_computed_once(self, capsys, nd_files, monkeypatch, orders):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copula_ot import (
     ConstructionError,
@@ -213,6 +213,8 @@ class TestDallAglioFunctional:
         plan = monotone_plan_1d(f, f)
         for p in (1.5, 2.0, 3.0):
             assert dall_aglio_functional(plan, p) == pytest.approx(0.0, abs=1e-12)
+        # a one-point grid has no cells at all
+        assert dall_aglio_functional(DiscreteCoupling([0.0], [0.0], [[1.0]]), 2.0) == 0.0
 
     def test_comonotone_two_atom_pair(self):
         plan = monotone_plan_1d(uniform([0.0, 1.0]), uniform([0.0, 2.0]))
@@ -229,6 +231,11 @@ class TestDallAglioFunctional:
             dall_aglio_functional(coupling, 2.0)
 
     @given(couplings(), st.sampled_from([1.2, 1.5, 2.0, 2.5, 3.0]))
+    # shared atoms put mass on diagonal cells, where the two half-planes meet
+    @example(
+        DiscreteCoupling([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], np.arange(1.0, 10.0).reshape(3, 3) / 45),
+        1.5,
+    )
     def test_equals_direct_plan_cost(self, coupling, p):
         functional = dall_aglio_functional(coupling, p)
         direct = transport_cost(coupling, p)

@@ -8,6 +8,7 @@ import pytest
 
 from copula_ot import (
     CapacityError,
+    CertificationError,
     ConstructionError,
     DiscreteCoupling,
     DomainError,
@@ -186,6 +187,30 @@ class TestSolveExact:
         f, g = floored_weight_pair()
         sol = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
         assert sol.value == pytest.approx(wasserstein_1d(f, g, 2.0).value_pth_power, rel=1e-9)
+
+    def test_shifted_potential_fails_the_certificate(self, monkeypatch):
+        # The certificate is relative to the largest cost; a potential off by
+        # 1e-6 of it must still be caught. A second row potential moves the
+        # other way, so the dual objective (uniform weights) does not change
+        # and only the slack checks can catch it.
+        import scipy.optimize
+
+        original = scipy.optimize.linprog
+
+        def shifted(c, *args, **kwargs):
+            res = original(c, *args, **kwargs)
+            marginals = res.eqlin.marginals.copy()
+            marginals[:2] += np.array([1.0, -1.0]) * 1e-6 * c.max()
+            res.eqlin.marginals = marginals
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", shifted)
+        rng = np.random.default_rng(0)
+        inst = TransportInstance.from_distributions(
+            uniform(rng.normal(0.0, 1e4, 30)), uniform(rng.normal(0.0, 1e4, 30)), p=2.0
+        )
+        with pytest.raises(CertificationError, match="dual infeasibility|complementary slackness"):
+            solve_exact(inst)
 
 
 class TestEnumerateExtremeCouplings:
