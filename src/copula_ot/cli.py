@@ -269,7 +269,10 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
         )
         if oracle_value is not None:
             payload["oracle_lp"] = oracle_value
-            if not (lower - 1e-9 <= oracle_value <= upper + 1e-9):
+            payload["tolerance"] = tolerance
+            # the gap to the nearest end of the bracket, 0 inside it
+            nearest = min(max(oracle_value, lower), upper)
+            if _relative_gap(nearest, oracle_value) > tolerance:
                 code = EXIT_DISAGREEMENT
     if code == EXIT_DISAGREEMENT:
         notices.append(CONTRADICTED_HYPOTHESIS)

@@ -211,14 +211,21 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     )
     b_eq = np.concatenate([instance.mu_weights, instance.nu_weights])
     # HiGHS's default feasibility tolerances (1e-7) are looser than the
-    # certificate below; at those, floored 1e-9 weights fail it.
+    # certificate below; at those, floored 1e-9 weights fail it. Presolve is
+    # off: a transportation LP has no row or column to remove (only one
+    # redundant equality), so it cost about a third of each solve for
+    # nothing. The certificate checks the result either way.
     res = linprog(
         cost.ravel(),
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        options={
+            "presolve": False,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
     )
     if res.status != 0:
         raise CertificationError(f"LP solver failed with status {res.status}: {res.message}")

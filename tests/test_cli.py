@@ -289,6 +289,22 @@ class TestDistNd:
         assert payload["bracket_pow_p"] == [pytest.approx(2.0), pytest.approx(8.0)]
         assert payload["oracle_lp"] == pytest.approx(8.0)
 
+    def test_bracket_check_is_relative(self, capsys, tmp_path):
+        # every coupling of two point masses costs the lower end of the
+        # bracket; at this scale the LP lands 1.2e-16 relative below it
+        a = tmp_path / "origin.csv"
+        b = tmp_path / "far.csv"
+        a.write_text("0,0\n")
+        b.write_text("17511.107893000564,17511.107893000564\n")
+        code, out, _ = run_cli(
+            capsys, "distnd", str(a), str(b), "--p", "2", "--q", "3", "--assume-shared-copula"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["oracle_lp"] == pytest.approx(payload["bracket_pow_p"][0], rel=1e-12)
+        assert payload["tolerance"] == 1e-8
+        assert not any("contradict" in n for n in payload["notices"])
+
     def test_oracle_runs_on_the_rows(self, capsys, tmp_path):
         # (x, x) has copula M and (y, -y) copula W: the margins alone cannot
         # tell, the rows can

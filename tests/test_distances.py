@@ -329,6 +329,49 @@ class TestSharedCopula:
             wasserstein_shared_copula([from_atoms([0.0], [1.0])], [], 1.0)
 
 
+def row_margins(rows):
+    return [from_samples(rows[:, k]) for k in range(rows.shape[1])]
+
+
+def row_lp(a, b, p, q):
+    """The transport LP on the rows of two samples, each row weighted 1/rows."""
+    wa, wb = np.full(len(a), 1.0 / len(a)), np.full(len(b), 1.0 / len(b))
+    return solve_exact(TransportInstance(a, wa, b, wb, p=p, q=q)).value
+
+
+# (p, q) with q = p and with q in {1, 2, 3}
+ORDERS = sorted({(p, q) for p in (1.0, 1.5, 2.0, 3.0) for q in (p, 1.0, 2.0, 3.0)})
+
+
+class TestSharedCopulaOnRows:
+    """S, the sum of the per-coordinate W_p^p, against the LP on the rows."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lower_end_holds_without_a_shared_copula(self, rng, d):
+        # A's coordinates move together, B's first coordinate against the rest
+        for p, q in ORDERS:
+            m, n = rng.integers(5, 41, size=2)
+            a = rng.normal(size=(m, 1)) + 0.3 * rng.normal(size=(m, d))
+            b = rng.normal(size=(n, 1)) * np.r_[-1.0, np.ones(d - 1)] + 0.3 * rng.normal(size=(n, d))
+            s = wasserstein_shared_copula(row_margins(a), row_margins(b), p).value_pth_power
+            lower = min(1.0, d ** (p / q - 1.0)) * s
+            assert row_lp(a, b, p, q) >= lower - 1e-9 * max(1.0, lower)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_increasing_maps_share_the_copula(self, rng, d):
+        maps = (np.exp, lambda x: x**3, lambda x: 2.0 * x + 1.0)
+        for p, q in ORDERS:
+            a = rng.normal(size=(int(rng.integers(5, 41)), d))
+            b = np.column_stack([maps[k](a[:, k]) for k in range(d)])
+            report = wasserstein_shared_copula(row_margins(a), row_margins(b), p, q)
+            lp = row_lp(a, b, p, q)
+            if q == p:
+                assert relative_gap(lp, report.value_pth_power) <= 1e-9
+            else:
+                lower, upper = report.bracket_pth_power
+                assert lower - 1e-9 * max(1.0, lower) <= lp <= upper + 1e-9 * max(1.0, upper)
+
+
 class TestNormEquivalenceBounds:
     def test_one_dimension_collapses(self, rng):
         f = [random_discrete(rng)]

@@ -16,6 +16,7 @@ from copula_ot import (
     enumerate_extreme_couplings,
     comonotone_expectation,
     from_atoms,
+    from_samples,
     monotone_plan_1d,
     solve_exact,
     transport_cost,
@@ -23,7 +24,7 @@ from copula_ot import (
 )
 from copula_ot.oracle import DUAL_CERT_TOL
 
-from helpers import random_discrete
+from helpers import random_discrete, relative_gap
 
 
 def uniform(atoms):
@@ -152,14 +153,26 @@ class TestSolveExact:
             assert np.max(np.abs(slack[support])) <= DUAL_CERT_TOL
 
     def test_matches_vertex_minimum(self, rng):
+        # vertex enumeration is an exact reference that does not use HiGHS
         for _ in range(10):
             f = random_discrete(rng, max_atoms=4)
             g = random_discrete(rng, max_atoms=4)
-            inst = TransportInstance.from_distributions(f, g, p=2.0)
-            sol = solve_exact(inst)
             vertices = enumerate_extreme_couplings(f.weights, g.weights, f.atoms, g.atoms)
-            best = min(transport_cost(v, 2.0) for v in vertices)
-            assert sol.value == pytest.approx(best, abs=1e-10)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                sol = solve_exact(TransportInstance.from_distributions(f, g, p=p))
+                best = min(transport_cost(v, p) for v in vertices)
+                assert sol.value == pytest.approx(best, abs=1e-10)
+
+    def test_matches_vertex_minimum_in_the_plane(self, rng):
+        for _ in range(10):
+            m, n = rng.integers(1, 5, size=2)
+            x, y = rng.uniform(-10.0, 10.0, size=(m, 2)), rng.uniform(-10.0, 10.0, size=(n, 2))
+            wx, wy = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            vertices = enumerate_extreme_couplings(wx, wy, x, y)
+            for p, q in itertools.product((1.0, 1.5, 2.0, 3.0), (1.0, 2.0)):
+                sol = solve_exact(TransportInstance(x, wx, y, wy, p=p, q=q))
+                best = min(transport_cost(v, p, q) for v in vertices)
+                assert sol.value == pytest.approx(best, rel=1e-10, abs=1e-10)
 
     def test_marginalize_reproduces_inputs(self, rng):
         f = random_discrete(rng, max_atoms=10)
@@ -187,6 +200,55 @@ class TestSolveExact:
         f, g = floored_weight_pair()
         sol = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
         assert sol.value == pytest.approx(wasserstein_1d(f, g, 2.0).value_pth_power, rel=1e-9)
+
+    def test_highs_options_are_pinned(self, monkeypatch):
+        # presolve off and feasibility tolerances tighter than the certificate
+        import scipy.optimize
+
+        original = scipy.optimize.linprog
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        f, g = drift_pair()
+        solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+        assert len(seen) == 1
+        assert seen[0]["method"] == "highs"
+        assert seen[0]["options"] == {
+            "presolve": False,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        }
+
+    def test_desk_style_pairs_certify(self):
+        # 2-64 atoms per side: rounded samples (ladder ties) and random-simplex
+        # weights floored at 1e-9, the two kinds that once failed the certificate
+        rng = np.random.default_rng(12)
+
+        def floored_simplex(k):
+            w = np.maximum(rng.dirichlet(np.ones(k)), 1e-9)
+            return w / w.sum()
+
+        pairs = []
+        for _ in range(30):
+            m, n = rng.integers(2, 65, size=2)
+            pairs.append((
+                from_samples(np.round(rng.normal(0.0, 1.0, m), 2)),
+                from_samples(np.round(rng.normal(0.3, 1.2, n), 2)),
+            ))
+        for _ in range(30):
+            m, n = rng.integers(2, 65, size=2)
+            pairs.append(tuple(
+                from_atoms(rng.normal(0.0, 1.0, k), floored_simplex(k))
+                for k in (m, n)
+            ))
+        for f, g in pairs:
+            for p in (1.0, 2.0):
+                lp = solve_exact(TransportInstance.from_distributions(f, g, p)).value
+                assert relative_gap(lp, wasserstein_1d(f, g, p).value_pth_power) <= 1e-9
 
     def test_shifted_potential_fails_the_certificate(self, monkeypatch):
         # The certificate is relative to the largest cost; a potential off by
