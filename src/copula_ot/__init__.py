@@ -21,20 +21,15 @@ from .copulas import (
     ValidationReport,
     built_in_copula,
     comonotone_joint_2d,
-    comonotone_support,
     comonotonicity_copula,
     coupling_from_joint,
-    frechet_hoeffding_bounds,
     independence_copula,
     lower_frechet_bound,
-    sklar_join,
     validate_copula,
 )
 from .distances import (
     DistanceReport,
-    MinimalityReport,
     comonotone_expectation,
-    comonotone_minimality,
     dall_aglio_functional,
     w1_cdf_area,
     wasserstein_1d,
@@ -74,18 +69,13 @@ __all__ = [
     "independence_copula",
     "built_in_copula",
     "validate_copula",
-    "sklar_join",
     "comonotone_joint_2d",
-    "frechet_hoeffding_bounds",
     "coupling_from_joint",
-    "comonotone_support",
     "DistanceReport",
-    "MinimalityReport",
     "wasserstein_1d",
     "w1_cdf_area",
     "comonotone_expectation",
     "dall_aglio_functional",
-    "comonotone_minimality",
     "wasserstein_shared_copula",
     "DiscreteCoupling",
     "TransportInstance",

@@ -1,4 +1,4 @@
-"""d-copulas, grid validation, Sklar joins, and comonotone couplings.
+"""d-copulas, grid validation, joint CDFs, and couplings from them.
 
 Copulas are represented as black-box evaluators on the unit hypercube with
 a label, not as parametric families: the distance formulas only ever need
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, _ladder
+from .distributions import Distribution1D
 from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
 from .oracle import DiscreteCoupling
 
@@ -30,11 +30,8 @@ __all__ = [
     "independence_copula",
     "built_in_copula",
     "validate_copula",
-    "sklar_join",
     "comonotone_joint_2d",
-    "frechet_hoeffding_bounds",
     "coupling_from_joint",
-    "comonotone_support",
 ]
 
 # Inclusion-exclusion over 2^d box corners cancels catastrophically right at
@@ -289,21 +286,9 @@ class JointCDF:
         return float(self.copula(u))
 
 
-def sklar_join(c: CopulaFn, margins: Sequence[Distribution1D]) -> JointCDF:
-    """Compose margin CDFs into the copula, producing a joint CDF."""
-    return JointCDF(copula=c, margins=tuple(margins))
-
-
 def comonotone_joint_2d(f: Distribution1D, g: Distribution1D) -> JointCDF:
     """The joint CDF min(F(x), G(y)): the optimal coupling's distribution."""
-    return sklar_join(comonotonicity_copula(2), (f, g))
-
-
-def frechet_hoeffding_bounds(
-    c: CopulaFn, u: Sequence[float]
-) -> tuple[float, float, float]:
-    """(W(u), M(u), c(u)); any validated copula satisfies W <= c <= M."""
-    return lower_frechet_bound(c.dim)(u), comonotonicity_copula(c.dim)(u), c(u)
+    return JointCDF(comonotonicity_copula(2), (f, g))
 
 
 def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
@@ -342,21 +327,3 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
     if float(np.max(np.abs(volumes.sum(axis=0) - g.weights))) > MARGIN_RESTORE_TOL:
         raise InvalidJointError("joint does not reproduce its second margin")
     return DiscreteCoupling(xs, ys, volumes)
-
-
-def comonotone_support(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete comonotone joint of several discrete margins.
-
-    Merges every margin's cumulative-weight ladder into shared breakpoints
-    and maps each piece to the quantile vector on it. Returns
-    (points, weights) with points of shape (k, d); the joint's copula is M
-    by construction.
-    """
-    margins = tuple(margins)
-    if not margins:
-        raise DomainError("need at least one margin")
-    if not all(m.is_discrete for m in margins):
-        raise DomainError("comonotone support needs discrete margins")
-    idx, widths = _ladder(margins)
-    points = np.stack([m.atoms[idx[:, k]] for k, m in enumerate(margins)], axis=1)
-    return points, widths

@@ -14,31 +14,28 @@ p-th power, and silent p-th roots are a classic defect source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked
-from .errors import CopulaOTError, DomainError, PreconditionError
-from .oracle import DiscreteCoupling, monotone_plan_1d, transport_cost
+from .errors import DomainError, PreconditionError
+from .oracle import DiscreteCoupling
 
 __all__ = [
     "DistanceReport",
-    "MinimalityReport",
     "wasserstein_1d",
     "w1_cdf_area",
     "comonotone_expectation",
     "dall_aglio_functional",
-    "comonotone_minimality",
     "wasserstein_shared_copula",
 ]
 
 METHOD_QUANTILE = "quantile_integral"
 METHOD_CDF_AREA = "cdf_area"
 METHOD_SHARED_SUM = "shared_copula_sum"
-
-MINIMALITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,6 +47,8 @@ class DistanceReport:
     representation exists; the report then carries ``bracket_pth_power``
     (lower, upper) bounds instead of point values. Shared-copula reports
     also carry the per-coordinate W_p^p terms in ``per_coordinate_pth_power``.
+    A W_p^p or bracket end that is not finite (it overflowed) is a
+    ``DomainError``.
     """
 
     value: float | None
@@ -62,6 +61,8 @@ class DistanceReport:
     per_coordinate_pth_power: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not all(v is None or math.isfinite(v) for v in self.bracket_pth_power or (self.value_pth_power,)):
+            raise DomainError(f"W_p^p at order p = {self.p:g} overflows double precision")
         if self.bracket_pth_power is None:
             if self.value is None or self.value_pth_power is None:
                 raise DomainError("non-bracket reports need point values")
@@ -225,57 +226,6 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
 
     kernel = -np.diff(np.diff(np.abs(grid[:, None] - grid[None, :]) ** p, axis=0), axis=1)
     return float(np.sum(weight * kernel))
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Comparison of the comonotone plan's cost against trial couplings."""
-
-    comonotone_value: float
-    trial_values: tuple[float, ...]
-    min_gap: float
-
-
-def comonotone_minimality(
-    f: Distribution1D,
-    g: Distribution1D,
-    p: float,
-    trial_couplings: Sequence[DiscreteCoupling],
-) -> MinimalityReport:
-    """Check that no trial coupling beats the comonotone plan.
-
-    Evaluates I over the comonotone plan of (f, g) and over every trial with
-    the same margins, raising if any trial undercuts it by more than the
-    numerical slack. Returns the minimum gap min_H I(H) - I(comonotone).
-    """
-    p = _order(p, "minimality order p", strict=True)
-    plan = monotone_plan_1d(f, g)
-    base = dall_aglio_functional(plan, p)
-    values = []
-    for trial in trial_couplings:
-        _require_same_margins(trial, f, g)
-        values.append(dall_aglio_functional(trial, p))
-    min_gap = min((v - base for v in values), default=0.0)
-    if min_gap < -MINIMALITY_SLACK:
-        raise CopulaOTError(
-            f"a trial coupling undercuts the comonotone plan by {-min_gap}"
-        )
-    return MinimalityReport(base, tuple(values), float(min_gap))
-
-
-def _require_same_margins(trial: DiscreteCoupling, f: Distribution1D, g: Distribution1D) -> None:
-    same_rows = (
-        trial.row_points.shape == (f.n_atoms, 1)
-        and np.array_equal(trial.row_points.ravel(), f.atoms)
-        and np.allclose(trial.row_weights, f.weights, atol=1e-10, rtol=0.0)
-    )
-    same_cols = (
-        trial.col_points.shape == (g.n_atoms, 1)
-        and np.array_equal(trial.col_points.ravel(), g.atoms)
-        and np.allclose(trial.col_weights, g.weights, atol=1e-10, rtol=0.0)
-    )
-    if not (same_rows and same_cols):
-        raise DomainError("trial coupling margins do not match the given measures")
 
 
 def wasserstein_shared_copula(

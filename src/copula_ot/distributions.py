@@ -174,7 +174,7 @@ class Distribution1D:
     def quantile_many(self, u: Sequence[float] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`quantile`; same domain checks per entry."""
         arr = np.asarray(u, dtype=float)
-        if arr.size and (np.min(arr) <= 0.0 or np.max(arr) > 1.0):
+        if not np.all((arr > 0.0) & (arr <= 1.0)):
             raise DomainError("quantile requires u in (0, 1]")
         if self.atoms is not None:
             return self.atoms[_atom_index(self.cumulative_weights, arr)]
@@ -320,7 +320,8 @@ def tail_decay_diagnostic(
 
     A finite moment of order r forces both terms to vanish as x grows; for
     compactly supported measures the entries are exactly zero beyond the
-    support.
+    support, however large x^r is. A term that overflows double precision
+    raises ``DomainError``.
     """
     r = _order(r, "tail order r", low=0.0, strict=True)
     g = np.asarray(grid, dtype=float).ravel()
@@ -329,9 +330,11 @@ def tail_decay_diagnostic(
     if g.size and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):
         raise DomainError("grid must be strictly increasing and positive")
     out = []
-    for x in g:
-        upper = x**r * (1.0 - dist.cdf(x))
-        lower = x**r * dist.cdf(-x)
-        out.append((float(x), float(upper), float(lower)))
+    with np.errstate(over="ignore"):
+        for x in g:
+            terms = [x**r * tail if tail > 0.0 else 0.0 for tail in (1.0 - dist.cdf(x), dist.cdf(-x))]
+            if not all(map(math.isfinite, terms)):
+                raise DomainError(f"tail term overflows double precision at x = {float(x)!r}")
+            out.append((float(x), *map(float, terms)))
     return out
 

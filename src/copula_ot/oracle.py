@@ -184,7 +184,8 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     """Solve the transportation LP exactly and certify the optimum.
 
     Instances with more than ``LP_MAX_TOTAL_ATOMS`` atoms in total raise
-    ``CapacityError``. The returned plan and value are accepted only if
+    ``CapacityError``, and a cost that overflows double precision raises
+    ``DomainError``. The returned plan and value are accepted only if
     recovered dual potentials (u, v) satisfy u_i + v_j <= c_ij everywhere
     and meet it with equality on the support of the plan, both within
     ``DUAL_CERT_TOL`` times the largest cost (at least 1), since the
@@ -196,11 +197,13 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
         raise CapacityError(
             f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
+    cost = instance.cost_matrix
+    if not np.all(np.isfinite(cost)):
+        raise DomainError(f"transport cost at order p = {instance.p:g} overflows double precision")
     # imported on first use: the CLI starts without scipy
     from scipy import sparse
     from scipy.optimize import linprog
 
-    cost = instance.cost_matrix
     # Variable i * n + j (cell (i, j)) has a 1 in exactly two constraints:
     # row i's margin and column j's margin, m + j. Column-compressed, that
     # is two sorted row indices per column.

@@ -1,12 +1,15 @@
 """Shared corpus builders for the test suite."""
 
+import json
 import os
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 import copula_ot
-from copula_ot import Distribution1D, from_atoms
+from copula_ot import Distribution1D, DomainError, from_atoms
+from copula_ot.distributions import _ladder
 
 # Environment for CLI subprocesses: they import copula_ot from where this
 # interpreter found it, so the tests run without installing the package.
@@ -38,3 +41,30 @@ def random_discrete(
 
 def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"CLI output is not strict JSON: it contains {name}")
+
+
+def strict_json(text: str | bytes):
+    """Parse CLI stdout as strict JSON, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def comonotone_support(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete comonotone joint of several discrete margins.
+
+    Merges every margin's cumulative-weight ladder into shared breakpoints
+    and maps each piece to the quantile vector on it. Returns
+    (points, weights) with points of shape (k, d); the joint's copula is M
+    by construction.
+    """
+    margins = tuple(margins)
+    if not margins:
+        raise DomainError("need at least one margin")
+    if not all(m.is_discrete for m in margins):
+        raise DomainError("comonotone support needs discrete margins")
+    idx, widths = _ladder(margins)
+    points = np.stack([m.atoms[idx[:, k]] for k, m in enumerate(margins)], axis=1)
+    return points, widths

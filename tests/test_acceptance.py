@@ -5,7 +5,6 @@ lines. Tolerances are pinned here and are not calibration knobs.
 """
 
 import itertools
-import json
 import subprocess
 import sys
 import time
@@ -18,10 +17,9 @@ from copula_ot import (
     TransportInstance,
     built_in_copula,
     comonotone_expectation,
-    comonotone_support,
+    comonotonicity_copula,
     dall_aglio_functional,
     enumerate_extreme_couplings,
-    frechet_hoeffding_bounds,
     from_atoms,
     lower_frechet_bound,
     monotone_plan_1d,
@@ -33,7 +31,7 @@ from copula_ot import (
     wasserstein_shared_copula,
 )
 
-from helpers import SUBPROCESS_ENV, random_discrete, relative_gap
+from helpers import SUBPROCESS_ENV, comonotone_support, random_discrete, relative_gap, strict_json
 
 SEED = 412
 
@@ -159,7 +157,7 @@ def test_criterion_6_frechet_hoeffding_sandwich():
         for label in ("M", "Pi"):
             c = built_in_copula(label, dim)
             for u in grid:
-                lower, upper, value = frechet_hoeffding_bounds(c, u)
+                lower, upper, value = lower_frechet_bound(dim)(u), comonotonicity_copula(dim)(u), c(u)
                 violation = max(violation, lower - value, value - upper)
     report = validate_copula(lower_frechet_bound(3), 8)
     w3_fails = not report.d_increasing.passed and len(report.d_increasing.witnesses) >= 1
@@ -250,8 +248,8 @@ def test_criterion_10_known_closed_forms_and_cli(tmp_path):
         capture_output=True, env=SUBPROCESS_ENV,
     )
     cli_ok = run1.returncode == 0 and run2.returncode == 0
-    cli_w1 = json.loads(run1.stdout)["w_p"] if cli_ok else float("nan")
-    cli_w2sq = json.loads(run2.stdout)["w_p_pow_p"] if cli_ok else float("nan")
+    cli_w1 = strict_json(run1.stdout)["w_p"] if cli_ok else float("nan")
+    cli_w2sq = strict_json(run2.stdout)["w_p_pow_p"] if cli_ok else float("nan")
     ok = (
         abs(w1 - 0.5) <= 1e-12
         and abs(lp1 - 0.5) <= 1e-12

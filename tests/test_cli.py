@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from copula_ot.cli import main, read_csv_columns, InputError
-from helpers import SUBPROCESS_ENV
+from helpers import SUBPROCESS_ENV, strict_json
 
 
 @pytest.fixture
@@ -19,6 +19,18 @@ def sample_files(tmp_path):
     a.write_text("0\n1\n")
     b.write_text("0\n2\n")
     return str(a), str(b)
+
+
+def overflow_pair(tmp_path, columns):
+    """Two 100-row samples at scale 1e160, whose W_2^2 overflows double precision."""
+    rng = np.random.default_rng(1)
+    paths = tmp_path / "huge_a.csv", tmp_path / "huge_b.csv"
+    for path in paths:
+        np.savetxt(path, np.repeat(rng.normal(size=(100, 1)) * 1e160, columns, axis=1), delimiter=",")
+    return tuple(map(str, paths))
+
+
+OVERFLOW_AT_ORDER_2 = "error: W_p^p at order p = 2 overflows double precision"
 
 
 def run_cli(capsys, *argv):
@@ -109,7 +121,7 @@ class TestDist1d:
         a, b = sample_files
         code, out, _ = run_cli(capsys, "dist1d", a, b, "--p", "1")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["w_p"] == pytest.approx(0.5, abs=1e-12)
         assert payload["methods"]["cdf_area"] == pytest.approx(0.5, abs=1e-12)
         assert payload["methods"]["oracle_lp"] == pytest.approx(0.5, abs=1e-12)
@@ -119,7 +131,7 @@ class TestDist1d:
         path = tmp_path / "same.csv"
         path.write_text("1\n2\n3\n")
         code, out, _ = run_cli(capsys, "dist1d", str(path), str(path), "--p", "2")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert payload["w_p"] == 0.0
         assert payload["max_method_disagreement"] == 0.0
@@ -127,7 +139,7 @@ class TestDist1d:
     def test_no_cdf_area_above_order_one(self, capsys, sample_files):
         a, b = sample_files
         _, out, _ = run_cli(capsys, "dist1d", a, b, "--p", "2")
-        assert "cdf_area" not in json.loads(out)["methods"]
+        assert "cdf_area" not in strict_json(out)["methods"]
 
     def test_oracle_runs_whenever_the_lp_guard_admits(self, capsys, tmp_path, rng):
         a = tmp_path / "thin.csv"
@@ -135,7 +147,7 @@ class TestDist1d:
         a.write_text("\n".join(str(v) for v in rng.normal(size=30)) + "\n")
         b.write_text("\n".join(str(v) for v in rng.normal(size=90)) + "\n")
         code, out, _ = run_cli(capsys, "dist1d", str(a), str(b), "--p", "2")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert "oracle_lp" in payload["methods"]
         assert payload["notices"] == []
@@ -149,7 +161,7 @@ class TestDist1d:
         np.savetxt(b, rng.normal(0.0, 1e4, 30))
         code, out, err = run_cli(capsys, "dist1d", str(a), str(b), "--p", "2")
         assert (code, err) == (0, "")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert "oracle_lp" in payload["methods"]
         assert payload["max_method_disagreement"] <= payload["tolerance"]
 
@@ -159,11 +171,24 @@ class TestDist1d:
         a.write_text("\n".join(str(v) for v in rng.normal(size=1000)) + "\n")
         b.write_text("\n".join(str(v) for v in rng.normal(size=1000) + 1.0) + "\n")
         code, out, _ = run_cli(capsys, "dist1d", str(a), str(b), "--p", "1")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert "oracle_lp" not in payload["methods"]
         assert any("oracle omitted" in note for note in payload["notices"])
         assert payload["w_p"] == pytest.approx(1.0, abs=0.2)
+
+    def test_overflowing_distance_is_input_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "dist1d", *overflow_pair(tmp_path, 1), "--p", "2")
+        assert (code, out) == (2, "")
+        assert OVERFLOW_AT_ORDER_2 in err
+
+    def test_overflowing_cost_inside_the_lp_guard(self, capsys, tmp_path):
+        a, b = tmp_path / "up.csv", tmp_path / "down.csv"
+        a.write_text("x\n0\n1e200\n")
+        b.write_text("x\n0\n-1e200\n")
+        code, out, err = run_cli(capsys, "dist1d", str(a), str(b), "--p", "2")
+        assert (code, out) == (2, "")
+        assert OVERFLOW_AT_ORDER_2 in err
 
     def test_parse_failure_exit_code(self, capsys, tmp_path, sample_files):
         bad = tmp_path / "bad.csv"
@@ -177,7 +202,7 @@ class TestDist1d:
         monkeypatch.setenv("COPULA_OT_TOLERANCE", "0.5")
         a, b = sample_files
         _, out, _ = run_cli(capsys, "dist1d", a, b)
-        assert json.loads(out)["tolerance"] == 0.5
+        assert strict_json(out)["tolerance"] == 0.5
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
     def test_invalid_tolerance_flag(self, capsys, sample_files, value):
@@ -197,7 +222,7 @@ class TestDist1d:
     def test_zero_tolerance_accepted(self, capsys, sample_files):
         code, out, _ = run_cli(capsys, "dist1d", *sample_files, "--tolerance", "0")
         assert code == 0
-        assert json.loads(out)["tolerance"] == 0.0
+        assert strict_json(out)["tolerance"] == 0.0
 
 
 class TestDistNd:
@@ -218,7 +243,7 @@ class TestDistNd:
         code, out, _ = run_cli(
             capsys, "distnd", *nd_files, "--p", "2", "--assume-shared-copula"
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert payload["per_coordinate_w_p_pow_p"] == [pytest.approx(0.5)] * 2
         assert payload["w_p_pow_p"] == pytest.approx(1.0, abs=1e-12)
@@ -231,7 +256,7 @@ class TestDistNd:
             capsys, "distnd", str(path), str(path), "--p", "1", "--assume-shared-copula"
         )
         assert code == 0
-        assert json.loads(out)["w_p"] == 0.0
+        assert strict_json(out)["w_p"] == 0.0
 
     def test_point_mass_rows(self, capsys, tmp_path):
         a = tmp_path / "pa.csv"
@@ -242,7 +267,7 @@ class TestDistNd:
             capsys, "distnd", str(a), str(b), "--p", "1", "--assume-shared-copula"
         )
         assert code == 0
-        assert json.loads(out)["w_p"] == pytest.approx(7.0, abs=1e-12)
+        assert strict_json(out)["w_p"] == pytest.approx(7.0, abs=1e-12)
 
     def test_ragged_rows(self, capsys, tmp_path, nd_files):
         ragged = tmp_path / "ragged.csv"
@@ -268,7 +293,7 @@ class TestDistNd:
             capsys,
             "distnd", *nd_files, "--p", "2", "--q", "1", "--assume-shared-copula",
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         lower, upper = payload["bracket_pow_p"]
         assert lower == pytest.approx(1.0, rel=1e-12)
@@ -284,7 +309,7 @@ class TestDistNd:
         code, out, _ = run_cli(
             capsys, "distnd", str(a), str(b), "--p", "3", "--q", "1", "--assume-shared-copula"
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert payload["bracket_pow_p"] == [pytest.approx(2.0), pytest.approx(8.0)]
         assert payload["oracle_lp"] == pytest.approx(8.0)
@@ -299,7 +324,7 @@ class TestDistNd:
         code, out, _ = run_cli(
             capsys, "distnd", str(a), str(b), "--p", "2", "--q", "3", "--assume-shared-copula"
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert payload["oracle_lp"] == pytest.approx(payload["bracket_pow_p"][0], rel=1e-12)
         assert payload["tolerance"] == 1e-8
@@ -315,7 +340,7 @@ class TestDistNd:
         np.savetxt(a, np.c_[x, x], delimiter=",")
         np.savetxt(b, np.c_[y, -y], delimiter=",")
         code, out, _ = run_cli(capsys, "distnd", str(a), str(b), "--p", "2", "--assume-shared-copula")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 1
         assert payload["oracle_lp"] > 10 * payload["w_p_pow_p"]
         assert any("contradict the shared-copula declaration" in n for n in payload["notices"])
@@ -331,7 +356,13 @@ class TestDistNd:
         np.savetxt(b, np.c_[np.exp(rows[:, 0]), rows[:, 1] ** 3], delimiter=",")
         code, out, _ = run_cli(capsys, "distnd", str(a), str(b), *orders, "--assume-shared-copula")
         assert code == 0
-        assert not any("contradict" in n for n in json.loads(out)["notices"])
+        assert not any("contradict" in n for n in strict_json(out)["notices"])
+
+    @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
+    def test_overflowing_distance_is_input_error(self, capsys, tmp_path, orders):
+        code, out, err = run_cli(capsys, "distnd", *overflow_pair(tmp_path, 2), *orders, "--assume-shared-copula")
+        assert (code, out) == (2, "")
+        assert OVERFLOW_AT_ORDER_2 in err
 
     @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
     def test_each_coordinate_computed_once(self, capsys, nd_files, monkeypatch, orders):
@@ -354,13 +385,13 @@ class TestDistNd:
 class TestCheckCopula:
     def test_comonotonicity_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check-copula", "M", "--dim", "3")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert payload["passed"] is True
 
     def test_lower_bound_fails_in_3d(self, capsys):
         code, out, _ = run_cli(capsys, "check-copula", "W", "--dim", "3", "--resolution", "4")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert payload["passed"] is False
         axiom = payload["axioms"]["d_increasing"]
@@ -370,7 +401,7 @@ class TestCheckCopula:
     def test_independence_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check-copula", "Pi", "--dim", "2")
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        assert strict_json(out)["passed"] is True
 
     def test_unknown_label(self, capsys):
         code, _, err = run_cli(capsys, "check-copula", "Clayton", "--dim", "2")
@@ -385,7 +416,7 @@ class TestCheckCopula:
 class TestOracleCompare:
     def test_two_by_two(self, capsys, sample_files):
         code, out, _ = run_cli(capsys, "oracle-compare", *sample_files, "--p", "2")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert len(payload["couplings"]) == 2
         assert payload["comonotone_is_minimal"] is True
@@ -397,7 +428,7 @@ class TestOracleCompare:
         a.write_text("1\n")
         b.write_text("4\n")
         code, out, _ = run_cli(capsys, "oracle-compare", str(a), str(b), "--p", "2")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert len(payload["couplings"]) == 1
         assert payload["comonotone_cost"] == pytest.approx(9.0)
@@ -408,7 +439,7 @@ class TestOracleCompare:
         a.write_text("1\n2\n3\n")
         b.write_text("2\n3\n4\n")
         code, out, _ = run_cli(capsys, "oracle-compare", str(a), str(b), "--p", "2")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert len(payload["couplings"]) == 6
         assert payload["comonotone_cost"] == pytest.approx(1.0, abs=1e-12)
@@ -427,7 +458,7 @@ class TestDiagnoseTails:
         code, out, _ = run_cli(
             capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "2,4"
         )
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert code == 0
         assert all(row["upper_tail_term"] == 0.0 for row in payload["rows"])
         assert all(row["lower_tail_term"] == 0.0 for row in payload["rows"])
@@ -438,10 +469,20 @@ class TestDiagnoseTails:
         code, out, _ = run_cli(
             capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "2.5"
         )
-        [row] = json.loads(out)["rows"]
+        [row] = strict_json(out)["rows"]
         assert row["x"] == 2.5
         assert row["upper_tail_term"] == pytest.approx(2.5 / 3)
         assert row["lower_tail_term"] == 0.0
+
+    def test_zeros_beyond_support_at_huge_x(self, capsys, tmp_path):
+        # x^r overflows to inf there, but the tail probabilities are 0
+        path = tmp_path / "s.csv"
+        path.write_text("1\n2\n")
+        code, out, _ = run_cli(capsys, "diagnose-tails", str(path), "--r", "2", "--grid", "1e200,1e300")
+        assert code == 0
+        assert strict_json(out)["rows"] == [
+            {"x": x, "upper_tail_term": 0.0, "lower_tail_term": 0.0} for x in (1e200, 1e300)
+        ]
 
     def test_bad_grid_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
@@ -541,13 +582,13 @@ class TestDeterminismAndRoundTrip:
 
     def test_json_floats_round_trip(self, capsys, sample_files):
         _, out, _ = run_cli(capsys, "dist1d", *sample_files, "--p", "1.5")
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert json.loads(json.dumps(payload)) == payload
 
     def test_formats_share_content(self, capsys, sample_files):
         _, json_out, _ = run_cli(capsys, "dist1d", *sample_files, "--p", "1")
         _, csv_out, _ = run_cli(capsys, "dist1d", *sample_files, "--p", "1", "--format", "csv")
         _, plain_out, _ = run_cli(capsys, "dist1d", *sample_files, "--p", "1", "--format", "plain")
-        w_p = json.loads(json_out)["w_p"]
+        w_p = strict_json(json_out)["w_p"]
         assert f"w_p,{w_p}" in csv_out
         assert f"w_p = {w_p}" in plain_out

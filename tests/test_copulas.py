@@ -1,4 +1,4 @@
-"""Tests for copula evaluation, grid validation, Sklar joins, couplings."""
+"""Tests for copula evaluation, grid validation, joint CDFs, couplings."""
 
 import math
 
@@ -14,19 +14,16 @@ from copula_ot import (
     JointCDF,
     built_in_copula,
     comonotone_joint_2d,
-    comonotone_support,
     comonotonicity_copula,
     coupling_from_joint,
-    frechet_hoeffding_bounds,
     from_atoms,
     from_samples,
     independence_copula,
     lower_frechet_bound,
-    sklar_join,
     validate_copula,
 )
 
-from helpers import random_discrete
+from helpers import comonotone_support, random_discrete
 
 
 def uniform(atoms):
@@ -136,19 +133,22 @@ class TestValidation:
 
 class TestFrechetHoeffdingBounds:
     def test_independence_triple(self):
-        assert frechet_hoeffding_bounds(independence_copula(2), (0.5, 0.5)) == (
+        u = (0.5, 0.5)
+        assert (lower_frechet_bound(2)(u), comonotonicity_copula(2)(u), independence_copula(2)(u)) == (
             0.0,
             0.5,
             0.25,
         )
 
     def test_upper_bound_attained_by_min(self):
-        lower, upper, value = frechet_hoeffding_bounds(comonotonicity_copula(2), (0.3, 0.8))
+        u = (0.3, 0.8)
+        lower, upper, value = lower_frechet_bound(2)(u), comonotonicity_copula(2)(u), comonotonicity_copula(2)(u)
         assert (lower, upper, value) == (pytest.approx(0.1), 0.3, 0.3)
 
     def test_zero_coordinate_pins_everything(self):
+        u = (0.0, 0.9)
         for c in (comonotonicity_copula(2), independence_copula(2)):
-            assert frechet_hoeffding_bounds(c, (0.0, 0.9)) == (0.0, 0.0, 0.0)
+            assert (lower_frechet_bound(2)(u), comonotonicity_copula(2)(u), c(u)) == (0.0, 0.0, 0.0)
 
     @given(
         st.sampled_from(["M", "Pi"]),
@@ -160,24 +160,24 @@ class TestFrechetHoeffdingBounds:
         u = data.draw(
             st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)
         )
-        lower, upper, value = frechet_hoeffding_bounds(c, u)
+        lower, upper, value = lower_frechet_bound(dim)(u), comonotonicity_copula(dim)(u), c(u)
         assert lower - 1e-12 <= value <= upper + 1e-12
 
 
 class TestSklarJoin:
     def test_point_mass_indicator(self):
-        h = sklar_join(comonotonicity_copula(2), [from_atoms([0.0], [1.0])] * 2)
+        h = JointCDF(comonotonicity_copula(2), [from_atoms([0.0], [1.0])] * 2)
         assert h((0.0, 0.0)) == 1.0
         assert h((-0.1, 5.0)) == 0.0
 
     def test_min_of_equal_margins_on_diagonal(self):
         grid = uniform(np.linspace(0.0, 1.0, 11))
-        h = sklar_join(comonotonicity_copula(2), [grid, grid])
+        h = JointCDF(comonotonicity_copula(2), [grid, grid])
         for x in (0.05, 0.45, 0.85):
             assert h((x, x)) == pytest.approx(grid.cdf(x), abs=1e-15)
 
     def test_product_of_indicator_cdfs(self):
-        h = sklar_join(
+        h = JointCDF(
             independence_copula(2),
             [from_atoms([0.0], [1.0]), from_atoms([1.0], [1.0])],
         )
@@ -186,12 +186,12 @@ class TestSklarJoin:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            sklar_join(comonotonicity_copula(3), [from_atoms([0.0], [1.0])] * 2)
+            JointCDF(comonotonicity_copula(3), [from_atoms([0.0], [1.0])] * 2)
 
     def test_marginal_recovery_via_infinity(self, rng):
         f = random_discrete(rng, max_atoms=5)
         g = random_discrete(rng, max_atoms=5)
-        h = sklar_join(independence_copula(2), [f, g])
+        h = JointCDF(independence_copula(2), [f, g])
         for x in np.concatenate([f.atoms, f.atoms - 0.5]):
             assert h((x, math.inf)) == pytest.approx(f.cdf(x), abs=1e-12)
         for y in g.atoms:
@@ -222,7 +222,7 @@ class TestCouplingFromJoint:
 
     def test_independence_product_weights(self):
         margin = uniform([0.0, 1.0])
-        h = sklar_join(independence_copula(2), [margin, margin])
+        h = JointCDF(independence_copula(2), [margin, margin])
         assert np.allclose(coupling_from_joint(h).mass, [[0.25, 0.25], [0.25, 0.25]])
 
     def test_margins_restored_exactly(self, rng):
@@ -247,7 +247,7 @@ class TestCouplingFromJoint:
     def test_requires_two_dimensions_and_discrete_margins(self):
         with pytest.raises(DomainError):
             coupling_from_joint(
-                sklar_join(comonotonicity_copula(3), [from_atoms([0.0], [1.0])] * 3)
+                JointCDF(comonotonicity_copula(3), [from_atoms([0.0], [1.0])] * 3)
             )
 
     def test_non_increasing_joint_rejected(self):
@@ -259,7 +259,7 @@ class TestCouplingFromJoint:
             return min(u[0], u[1])
 
         fake = CopulaFn(dim=2, eval_point=broken)
-        h = sklar_join(fake, [uniform([0.0, 1.0]), uniform([0.0, 1.0])])
+        h = JointCDF(fake, [uniform([0.0, 1.0]), uniform([0.0, 1.0])])
         with pytest.raises(InvalidJointError):
             coupling_from_joint(h)
 
@@ -278,7 +278,7 @@ class TestCouplingFromJoint:
             c = CopulaFn(dim=2, eval_point=amh_point, label="AMH")
         else:
             c = built_in_copula(copula, 2)
-        h = sklar_join(c, [f, g])
+        h = JointCDF(c, [f, g])
         reference = per_cell_coupling_mass(h)
 
         def no_cell_calls(self, x):
@@ -298,7 +298,7 @@ class TestBatchShape:
         c = CopulaFn(dim=2, eval_point=lambda u: float(min(u)), label="lopsided", eval_batch=bad_batch)
         with pytest.raises(DomainError, match="lopsided"):
             c.batch(np.full((3, 2), 0.5))
-        h = sklar_join(c, [uniform([0.0, 1.0]), uniform([0.0, 2.0])])
+        h = JointCDF(c, [uniform([0.0, 1.0]), uniform([0.0, 2.0])])
         with pytest.raises(DomainError, match="lopsided"):
             coupling_from_joint(h)
 

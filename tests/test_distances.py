@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from copula_ot import (
     ConstructionError,
-    CopulaOTError,
     DiscreteCoupling,
+    DistanceReport,
     DomainError,
     PreconditionError,
     TransportInstance,
     comonotone_expectation,
-    comonotone_minimality,
     dall_aglio_functional,
     enumerate_extreme_couplings,
     from_atoms,
@@ -29,7 +28,7 @@ from copula_ot import (
     wasserstein_shared_copula,
 )
 
-from helpers import random_discrete, relative_gap
+from helpers import comonotone_support, random_discrete, relative_gap
 
 
 def uniform(atoms):
@@ -55,6 +54,28 @@ def couplings(draw, max_side=4):
     )
     mass = np.asarray(raw).reshape(m, n)
     return DiscreteCoupling(xs, ys, mass / mass.sum())
+
+
+class TestDistanceReport:
+    @pytest.mark.parametrize("pth", [math.inf, math.nan])
+    def test_non_finite_point_value_rejected(self, pth):
+        with pytest.raises(DomainError, match="W_p\\^p at order p = 2 overflows"):
+            DistanceReport(value=pth, value_pth_power=pth, p=2.0, q=2.0, method="m")
+
+    @pytest.mark.parametrize("bracket", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bracket_end_rejected(self, bracket):
+        with pytest.raises(DomainError, match="W_p\\^p at order p = 2 overflows"):
+            DistanceReport(value=None, value_pth_power=None, p=2.0, q=1.0, method="m", bracket_pth_power=bracket)
+
+    def test_overflowing_pair_rejected(self):
+        f = from_atoms([0.0, 1e200], [0.5, 0.5])
+        g = from_atoms([0.0, -1e200], [0.5, 0.5])
+        assert wasserstein_1d(f, g, 1.0).value_pth_power == pytest.approx(1e200)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="overflows double precision"):
+                wasserstein_1d(f, g, 2.0)
+            with pytest.raises(DomainError, match="overflows double precision"):
+                wasserstein_shared_copula([f, f], [g, g], 2.0, 1.0)
 
 
 class TestWasserstein1D:
@@ -249,32 +270,28 @@ class TestComonotoneMinimality:
         independence = DiscreteCoupling(
             f.atoms, g.atoms, np.outer(f.weights, g.weights)
         )
-        report = comonotone_minimality(f, g, 2.0, [independence])
-        assert report.comonotone_value == pytest.approx(0.5, abs=1e-12)
-        assert report.trial_values[0] == pytest.approx(1.5, abs=1e-12)
-        assert report.min_gap == pytest.approx(1.0, abs=1e-12)
+        comonotone_value = dall_aglio_functional(monotone_plan_1d(f, g), 2.0)
+        trial_value = dall_aglio_functional(independence, 2.0)
+        assert comonotone_value == pytest.approx(0.5, abs=1e-12)
+        assert trial_value == pytest.approx(1.5, abs=1e-12)
+        assert trial_value - comonotone_value == pytest.approx(1.0, abs=1e-12)
 
     def test_comonotone_against_itself(self):
         f = uniform([0.0, 1.0])
         g = uniform([0.0, 2.0])
-        report = comonotone_minimality(f, g, 2.0, [monotone_plan_1d(f, g)])
-        assert report.min_gap == pytest.approx(0.0, abs=1e-15)
+        comonotone_value = dall_aglio_functional(monotone_plan_1d(f, g), 2.0)
+        trial_value = dall_aglio_functional(monotone_plan_1d(f, g), 2.0)
+        assert trial_value - comonotone_value == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_beats_birkhoff_vertices(self, rng):
         f = uniform(np.sort(rng.uniform(-5, 5, 3)))
         g = uniform(np.sort(rng.uniform(-5, 5, 3)))
         trials = enumerate_extreme_couplings(f.weights, g.weights, f.atoms, g.atoms)
         assert len(trials) == 6
-        report = comonotone_minimality(f, g, 2.0, trials)
-        assert report.min_gap >= -1e-9
-        assert min(report.trial_values) == pytest.approx(report.comonotone_value, abs=1e-12)
-
-    def test_margin_mismatch_rejected(self):
-        f = uniform([0.0, 1.0])
-        g = uniform([0.0, 2.0])
-        alien = DiscreteCoupling([0.0, 7.0], g.atoms, [[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(DomainError):
-            comonotone_minimality(f, g, 2.0, [alien])
+        comonotone_value = dall_aglio_functional(monotone_plan_1d(f, g), 2.0)
+        trial_values = [dall_aglio_functional(trial, 2.0) for trial in trials]
+        assert min(trial_values) - comonotone_value >= -1e-9
+        assert min(trial_values) == pytest.approx(comonotone_value, abs=1e-12)
 
 
 class TestSharedCopula:
@@ -292,8 +309,6 @@ class TestSharedCopula:
         assert report.per_coordinate_pth_power == (3.0, 4.0)
 
     def test_coordinate_additivity_against_oracle(self):
-        from copula_ot import comonotone_support
-
         f = [uniform([0.0, 1.0]), uniform([0.0, 1.0])]
         g = [uniform([0.0, 2.0]), uniform([0.0, 2.0])]
         report = wasserstein_shared_copula(f, g, 2.0)
@@ -413,7 +428,6 @@ def test_non_finite_orders_rejected(bad):
         (ConstructionError, lambda: TransportInstance.from_distributions(d, d, bad)),
         (ConstructionError, lambda: TransportInstance.from_distributions(d, d, 2.0, bad)),
         (DomainError, lambda: dall_aglio_functional(plan, bad)),
-        (DomainError, lambda: comonotone_minimality(d, d, bad, [])),
         (DomainError, lambda: tail_decay_diagnostic(d, bad, [1.0])),
     ]
     for error, call in calls:

@@ -138,6 +138,15 @@ class TestQuantile:
         with pytest.raises(DomainError):
             d.quantile(u)
 
+    @pytest.mark.parametrize("backing", ["atoms", "quantile_fn"])
+    def test_many_rejects_nan(self, backing):
+        if backing == "atoms":
+            d = from_samples([1.0, 2.0])
+        else:
+            d = from_quantile(lambda u: u, lambda x: min(max(x, 0.0), 1.0), p_moment_order=2.0)
+        with pytest.raises(DomainError):
+            d.quantile_many([0.5, math.nan])
+
     def test_u_equal_one_is_max_atom(self):
         d = from_samples([1.0, 5.0])
         assert d.quantile(1.0) == 5.0
@@ -250,3 +259,14 @@ class TestTailDiagnostic:
         with pytest.raises(DomainError, match=rf"grid .*{bad!r}"):
             tail_decay_diagnostic(d, 1.0, [1.0, bad])
 
+    def test_zero_tail_terms_where_x_to_the_r_overflows(self):
+        d = from_samples([1.0, 2.0])
+        assert tail_decay_diagnostic(d, 2.0, [1e200, 1e300]) == [
+            (1e200, 0.0, 0.0),
+            (1e300, 0.0, 0.0),
+        ]
+
+    def test_overflowing_term_names_x(self):
+        d = from_atoms([1e200], [1.0])
+        with pytest.raises(DomainError, match=r"overflows double precision at x = 1e\+150"):
+            tail_decay_diagnostic(d, 3.0, [1e150])

@@ -117,6 +117,11 @@ class TestSolveExact:
         assert sol.value == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(sol.plan.mass, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
 
+    def test_overflowing_cost_rejected_before_the_lp(self):
+        inst = TransportInstance([0.0, 1e200], [0.5, 0.5], [0.0, -1e200], [0.5, 0.5], p=2.0)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="order p = 2 overflows double precision"):
+            solve_exact(inst)
+
     def test_capacity_guard(self):
         atoms = np.arange(65.0)
         w = np.full(65, 1 / 65)

@@ -1,0 +1,51 @@
+"""The public names resolve, and the benchmark's hooks still find theirs.
+
+``perfbench/`` calls the package through its namespace and wraps some of
+its functions and methods by name, so deleting or renaming one of them
+breaks the benchmark. These tests run its desk op under its tracer.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import copula_ot
+
+MODULES = [
+    "copula_ot",
+    "copula_ot.distributions",
+    "copula_ot.copulas",
+    "copula_ot.distances",
+    "copula_ot.oracle",
+]
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_desk_op_runs_under_the_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        for op_id, pair in enumerate(workloads.make_desk_pairs(7, 64)[:3]):
+            values, _ = recorder.run_op(op_id, worker.desk_op, pair)
+            assert workloads.check_desk_values(values) is None
+    finally:
+        recorder.uninstall()
+    assert not hasattr(copula_ot.wasserstein_1d, "__wrapped__")
+    metrics, _ = recorder.layer_metrics()
+    assert metrics["copulas.comonotone_joint_2d.calls"] == 1.0
+    assert metrics["oracle.solve_exact.calls"] == 2.0
+    assert all(metrics[f"{layer}.{func}.errors"] == 0 for layer, _, func in tracer.SPANNED)
