@@ -248,32 +248,28 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
         a, np.full(len(a), 1.0 / len(a)), b, np.full(len(b), 1.0 / len(b)), p=args.p, q=q
     )
     oracle_value = _oracle_value(instance, notices)
-    code = EXIT_OK
-    if not report.is_bracket:
-        payload["w_p"] = report.value
-        payload["w_p_pow_p"] = report.value_pth_power
-        if oracle_value is not None:
-            payload["oracle_lp"] = oracle_value
-            gap = _relative_gap(report.value_pth_power, oracle_value)
-            payload["max_method_disagreement"] = gap
-            payload["tolerance"] = tolerance
-            if gap > tolerance:
-                code = EXIT_DISAGREEMENT
-    else:
-        lower, upper = report.bracket_pth_power
+    lower, upper = report.bracket_pth_power
+    if report.is_bracket:
         payload["bracket_pow_p"] = [lower, upper]
         payload["shared_copula_integral"] = float(sum(per_coord))
         notices.append(
             "orders p and q differ: no exact representation exists, reporting "
             "norm-equivalence brackets for W_{p,q}^p"
         )
-        if oracle_value is not None:
-            payload["oracle_lp"] = oracle_value
-            payload["tolerance"] = tolerance
-            # the gap to the nearest end of the bracket, 0 inside it
-            nearest = min(max(oracle_value, lower), upper)
-            if _relative_gap(nearest, oracle_value) > tolerance:
-                code = EXIT_DISAGREEMENT
+    else:
+        payload["w_p"] = report.value
+        payload["w_p_pow_p"] = report.value_pth_power
+    code = EXIT_OK
+    if oracle_value is not None:
+        payload["oracle_lp"] = oracle_value
+        payload["tolerance"] = tolerance
+        # the gap to the nearest end of the interval: 0 inside a bracket,
+        # the gap to the value when the ends meet
+        gap = _relative_gap(min(max(oracle_value, lower), upper), oracle_value)
+        if not report.is_bracket:
+            payload["max_method_disagreement"] = gap
+        if gap > tolerance:
+            code = EXIT_DISAGREEMENT
     if code == EXIT_DISAGREEMENT:
         notices.append(CONTRADICTED_HYPOTHESIS)
     return code, payload

@@ -43,6 +43,12 @@ MARGIN_RESTORE_TOL = 1e-10
 # Grid boxes scale as resolution^dim with 2^dim corners each.
 MAX_VALIDATION_DIM = 10
 
+# validate_copula refuses lattices with more points than this. Each point
+# costs two rows of dim floats (the meshgrid and its stacked copy), so the
+# largest admitted lattice, 7^8 points at dim 8 and the default resolution,
+# takes under 1 GB.
+MAX_LATTICE_POINTS = 6_000_000
+
 
 @dataclass(frozen=True)
 class CopulaFn:
@@ -184,6 +190,11 @@ def validate_copula(c: CopulaFn, grid_resolution: int | None = None) -> Validati
     resolution = default_resolution(c.dim) if grid_resolution is None else int(grid_resolution)
     if resolution < 2:
         raise DomainError("grid resolution must be at least 2")
+    if (resolution + 1) ** c.dim > MAX_LATTICE_POINTS:
+        raise CapacityError(
+            f"validation guard: a lattice of {resolution + 1}^{c.dim} points exceeds "
+            f"the budget of {MAX_LATTICE_POINTS}"
+        )
     ticks = np.linspace(0.0, 1.0, resolution + 1)
     axes = np.meshgrid(*([ticks] * c.dim), indexing="ij")
     points = np.stack([a.ravel() for a in axes], axis=1)

@@ -8,21 +8,22 @@ share a copula, the p-th power is coordinate-additive. Each form is
 implemented here; the discrete paths are exact (no quadrature), which is
 what lets the test suite pin them against the LP oracle at 1e-9.
 
-Every report carries both W_p and W_p^p: the formulas naturally produce the
-p-th power, and silent p-th roots are a classic defect source.
+Every report stores W_p^p as an interval, whose ends meet when the value is
+exact: the formulas naturally produce the p-th power, and silent p-th roots
+are a classic defect source. W_p is the p-th root of a point value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked
 from .errors import DomainError, PreconditionError
-from .oracle import DiscreteCoupling
+from .oracle import DiscreteCoupling, _ground_cost
 
 __all__ = [
     "DistanceReport",
@@ -42,57 +43,43 @@ METHOD_SHARED_SUM = "shared_copula_sum"
 class DistanceReport:
     """A computed distance with its method tag and error accounting.
 
-    ``value`` is W_p itself and ``value_pth_power`` is W_p^p. When the
-    requested ground-norm order q differs from the distance order p no exact
-    representation exists; the report then carries ``bracket_pth_power``
-    (lower, upper) bounds instead of point values. Shared-copula reports
-    also carry the per-coordinate W_p^p terms in ``per_coordinate_pth_power``.
-    A W_p^p or bracket end that is not finite (it overflowed) is a
-    ``DomainError``.
+    W_p^p is stored only as the interval ``bracket_pth_power`` = (lower,
+    upper). When the ground-norm order q equals the distance order p the
+    value is exact and the two ends meet; ``value_pth_power`` is then that
+    point and ``value`` its p-th root, W_p. When q differs from p no exact
+    representation exists, the interval is a norm-equivalence bracket and
+    both point properties are None. Shared-copula reports also carry the
+    per-coordinate W_p^p terms in ``per_coordinate_pth_power``. An end that
+    is not finite (it overflowed) is a ``DomainError``.
     """
 
-    value: float | None
-    value_pth_power: float | None
+    bracket_pth_power: tuple[float, float]
     p: float
     q: float
     method: str
     error_bound: float = 0.0
-    bracket_pth_power: tuple[float, float] | None = None
     per_coordinate_pth_power: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not all(v is None or math.isfinite(v) for v in self.bracket_pth_power or (self.value_pth_power,)):
+        lower, upper = self.bracket_pth_power
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise DomainError(f"W_p^p at order p = {self.p:g} overflows double precision")
-        if self.bracket_pth_power is None:
-            if self.value is None or self.value_pth_power is None:
-                raise DomainError("non-bracket reports need point values")
-            if self.value < 0.0 or self.value_pth_power < 0.0:
-                raise DomainError("distances are nonnegative")
-            root = self.value_pth_power ** (1.0 / self.p)
-            if abs(self.value - root) > 1e-12 * max(1.0, abs(root)):
-                raise DomainError("value must be the p-th root of value_pth_power")
-        else:
-            if self.value is not None or self.value_pth_power is not None:
-                raise DomainError("bracketed reports carry no point value")
-            lo, hi = self.bracket_pth_power
-            if not lo <= hi:
-                raise DomainError("bracket must be ordered")
+        if not 0.0 <= lower <= upper:
+            raise DomainError("a W_p^p interval needs 0 <= lower <= upper")
+        if self.q == self.p and lower != upper:
+            raise DomainError("at q = p W_p^p is exact: the interval's ends must meet")
 
     @property
     def is_bracket(self) -> bool:
-        return self.bracket_pth_power is not None
+        return self.q != self.p
 
+    @property
+    def value_pth_power(self) -> float | None:
+        return None if self.is_bracket else self.bracket_pth_power[0]
 
-def _point_report(pth_power: float, p: float, q: float, method: str, error_bound: float) -> DistanceReport:
-    pth_power = max(0.0, float(pth_power))
-    return DistanceReport(
-        value=pth_power ** (1.0 / p),
-        value_pth_power=pth_power,
-        p=float(p),
-        q=float(q),
-        method=method,
-        error_bound=float(error_bound),
-    )
+    @property
+    def value(self) -> float | None:
+        return None if self.is_bracket else self.bracket_pth_power[0] ** (1.0 / self.p)
 
 
 def _require_moment(dist: Distribution1D, p: float) -> None:
@@ -114,11 +101,14 @@ def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceRe
     p = _order(p, "Wasserstein order p")
     _require_moment(f, p)
     _require_moment(g, p)
-    pth, abserr = _comonotone_integral(
-        (f, g), lambda a, b: abs(a - b) ** p, what=f"quantile integral at order {p}"
-    )
+    # an overflow is checked once, as DistanceReport's DomainError
+    with np.errstate(over="ignore"):
+        pth, abserr = _comonotone_integral(
+            (f, g), lambda a, b: abs(a - b) ** p, what=f"quantile integral at order {p}"
+        )
+    pth = max(0.0, pth)  # quadrature may round a nonnegative integral below 0
     error = 0.0 if f.is_discrete and g.is_discrete else abserr + _tail_error(f, g, p)
-    return _point_report(pth, p, p, METHOD_QUANTILE, error)
+    return DistanceReport((pth, pth), p, p, METHOD_QUANTILE, error)
 
 
 def _tail_error(f: Distribution1D, g: Distribution1D, p: float) -> float:
@@ -157,18 +147,19 @@ def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
             ]
             for d in (f, g)
         )
-        area = float(np.sum(np.diff(grid) * np.abs(cf - cg)))
-        return _point_report(area, 1.0, 1.0, METHOD_CDF_AREA, 0.0)
-    lo = min(f.quantile(QUAD_EPS), g.quantile(QUAD_EPS))
-    hi = max(f.quantile(1.0 - QUAD_EPS), g.quantile(1.0 - QUAD_EPS))
-    area, abserr = _quad_checked(
-        lambda x: abs(f.cdf(x) - g.cdf(x)),
-        lo,
-        hi,
-        what="CDF area",
-        breaks=[d.atoms for d in (f, g) if d.is_discrete],
-    )
-    return _point_report(area, 1.0, 1.0, METHOD_CDF_AREA, abserr)
+        area, abserr = float(np.sum(np.diff(grid) * np.abs(cf - cg))), 0.0
+    else:
+        lo = min(f.quantile(QUAD_EPS), g.quantile(QUAD_EPS))
+        hi = max(f.quantile(1.0 - QUAD_EPS), g.quantile(1.0 - QUAD_EPS))
+        area, abserr = _quad_checked(
+            lambda x: abs(f.cdf(x) - g.cdf(x)),
+            lo,
+            hi,
+            what="CDF area",
+            breaks=[d.atoms for d in (f, g) if d.is_discrete],
+        )
+        area = max(0.0, area)
+    return DistanceReport((area, area), 1.0, 1.0, METHOD_CDF_AREA, abserr)
 
 
 def comonotone_expectation(
@@ -224,7 +215,7 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     f_side = padded[xi, -1][a] - joint  # F(x) - H(x, y), the weight where y > x
     weight = np.where(a > b, g_side, np.where(a < b, f_side, (g_side + f_side) / 2))
 
-    kernel = -np.diff(np.diff(np.abs(grid[:, None] - grid[None, :]) ** p, axis=0), axis=1)
+    kernel = -np.diff(np.diff(_ground_cost(grid[:, None], grid[:, None], p, p), axis=0), axis=1)
     return float(np.sum(weight * kernel))
 
 
@@ -243,9 +234,11 @@ def wasserstein_shared_copula(
 
     When the ground-norm order q differs from p no exact representation
     exists. Equivalence of the q- and p-norms on R^d then brackets the
-    distance instead of a point value: with k = d^(p/q - 1),
+    distance: with k = d^(p/q - 1),
 
         min(1, k) * S <= W_{p,q}^p <= max(1, k) * S.
+
+    At q = p, k = 1 and the bracket is the point (S, S).
     """
     p = _order(p, "Wasserstein order p")
     q = p if q is None else _order(q, "norm order q")
@@ -256,18 +249,7 @@ def wasserstein_shared_copula(
     reports = [wasserstein_1d(fi, gi, p) for fi, gi in zip(f_margins, g_margins)]
     terms = tuple(r.value_pth_power for r in reports)
     total = sum(terms)
+    k = len(terms) ** (p / q - 1.0)  # exactly 1.0 at q = p: the ends meet
     error = sum(r.error_bound for r in reports)
-    if q == p:
-        point = _point_report(total, p, q, METHOD_SHARED_SUM, error)
-        return replace(point, per_coordinate_pth_power=terms)
-    k = len(terms) ** (p / q - 1.0)
-    return DistanceReport(
-        value=None,
-        value_pth_power=None,
-        p=p,
-        q=q,
-        method=METHOD_SHARED_SUM,
-        error_bound=error,
-        bracket_pth_power=(min(1.0, k) * total, max(1.0, k) * total),
-        per_coordinate_pth_power=terms,
-    )
+    bracket = (min(1.0, k) * total, max(1.0, k) * total)
+    return DistanceReport(bracket, p, q, METHOD_SHARED_SUM, error, terms)

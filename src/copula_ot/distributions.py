@@ -90,7 +90,9 @@ class Distribution1D:
     Exactly one backing is given: ``(atoms, weights)`` for discrete and
     empirical measures, which are stored alike as merged atoms since every
     downstream formula consumes only the (CDF, quantile) pair, or
-    ``(cdf_fn, quantile_fn)`` for parametric ones.
+    ``(cdf_fn, quantile_fn)`` for parametric ones. Atoms must be finite and
+    strictly increasing, and weights strictly positive with a total within
+    ``WEIGHT_SUM_TOL`` of 1; both are stored as read-only float arrays.
 
     ``p_moment_order`` is the largest order ``p`` for which membership in
     the Wasserstein space of order ``p`` is asserted. Discrete measures get
@@ -118,6 +120,22 @@ class Distribution1D:
             )
         if not self.p_moment_order >= 1.0:
             raise ConstructionError("p_moment_order must be >= 1")
+        if self.atoms is None:
+            return
+        atoms = np.asarray(self.atoms, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if atoms.ndim != 1 or atoms.size == 0 or weights.shape != atoms.shape:
+            raise ConstructionError("a discrete measure needs at least one atom, each with a weight")
+        if not (np.all(np.isfinite(atoms)) and np.all(atoms[1:] > atoms[:-1])):
+            raise ConstructionError("atoms must be finite and strictly increasing")
+        if not np.all(weights > 0.0):
+            raise ConstructionError("weights must be strictly positive")
+        total = float(np.sum(weights))
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise ConstructionError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+        for arr, field in ((atoms, "atoms"), (weights, "weights")):
+            arr.flags.writeable = False
+            object.__setattr__(self, field, arr)
 
     # -- structure ---------------------------------------------------------
 
@@ -248,15 +266,8 @@ def _quad_checked(fn, lo: float, hi: float, *, what: str, breaks=()) -> tuple[fl
 def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
     """Empirical measure: weight 1/n per sample, duplicates merged."""
     arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size == 0:
-        raise ConstructionError("cannot build a distribution from zero samples")
-    if not np.all(np.isfinite(arr)):
-        raise ConstructionError("samples must all be finite")
     atoms, counts = np.unique(arr, return_counts=True)
-    weights = counts / arr.size
-    atoms.flags.writeable = False
-    weights.flags.writeable = False
-    return Distribution1D(atoms=atoms, weights=weights)
+    return Distribution1D(atoms=atoms, weights=counts / arr.size)
 
 
 def from_atoms(
@@ -267,26 +278,16 @@ def from_atoms(
 
     Duplicate atoms are merged by accumulating their weights so the CDF is a
     step function with strictly increasing jump locations. Weights must be
-    strictly positive and sum to 1 within ``WEIGHT_SUM_TOL``.
+    strictly positive before the merge; the measure checks the rest.
     """
     a = np.asarray(atoms, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
-    if a.size == 0:
-        raise ConstructionError("discrete measure needs at least one atom")
     if a.shape != w.shape:
         raise ConstructionError("atoms and weights must have matching lengths")
-    if not np.all(np.isfinite(a)):
-        raise ConstructionError("atoms must all be finite")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ConstructionError("weights must be finite and strictly positive")
-    total = float(np.sum(w))
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ConstructionError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
     uniq, inverse = np.unique(a, return_inverse=True)
-    merged = np.bincount(inverse, weights=w) / total
-    uniq.flags.writeable = False
-    merged.flags.writeable = False
-    return Distribution1D(atoms=uniq, weights=merged)
+    return Distribution1D(atoms=uniq, weights=np.bincount(inverse, weights=w))
 
 
 def from_quantile(

@@ -167,9 +167,15 @@ class TransportSolution(NamedTuple):
 
 
 def _ground_cost(x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray:
-    """The cost matrix ||x_i - y_j||_q ** p between two (k, d) point sets."""
-    diff = np.abs(x[:, None, :] - y[None, :, :])
-    return np.sum(diff**q, axis=2) ** (p / q)
+    """The cost matrix ||x_i - y_j||_q ** p between two (k, d) point sets.
+
+    A cost that overflows double precision raises ``DomainError``.
+    """
+    with np.errstate(over="ignore"):
+        cost = np.sum(np.abs(x[:, None, :] - y[None, :, :]) ** q, axis=2) ** (p / q)
+    if not np.all(np.isfinite(cost)):
+        raise DomainError(f"transport cost at order p = {p:g} overflows double precision")
+    return cost
 
 
 def transport_cost(coupling: DiscreteCoupling, p: float, q: float | None = None) -> float:
@@ -198,8 +204,6 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
             f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
     cost = instance.cost_matrix
-    if not np.all(np.isfinite(cost)):
-        raise DomainError(f"transport cost at order p = {instance.p:g} overflows double precision")
     # imported on first use: the CLI starts without scipy
     from scipy import sparse
     from scipy.optimize import linprog

@@ -4,11 +4,13 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from copula_ot.cli import main, read_csv_columns, InputError
+from copula_ot.copulas import MAX_LATTICE_POINTS, default_resolution
 from helpers import SUBPROCESS_ENV, strict_json
 
 
@@ -301,6 +303,17 @@ class TestDistNd:
         assert "w_p" not in payload
         assert lower - 1e-9 <= payload["oracle_lp"] <= upper + 1e-9
 
+    def test_one_column_bracket_when_orders_differ(self, capsys, sample_files):
+        # at d = 1 the bracket's ends meet, but q != p still reports a bracket
+        code, out, _ = run_cli(
+            capsys, "distnd", *sample_files, "--p", "2", "--q", "1", "--assume-shared-copula",
+        )
+        payload = strict_json(out)
+        assert code == 0
+        assert payload["bracket_pow_p"] == [0.5, 0.5]
+        assert "w_p" not in payload and "max_method_disagreement" not in payload
+        assert payload["oracle_lp"] == pytest.approx(0.5, abs=1e-12)
+
     def test_bracket_holds_oracle_when_q_below_p(self, capsys, tmp_path):
         a = tmp_path / "pa.csv"
         b = tmp_path / "pb.csv"
@@ -411,6 +424,18 @@ class TestCheckCopula:
     def test_capacity_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "check-copula", "M", "--dim", "11")
         assert code == 4
+
+    @pytest.mark.parametrize("size", [("--dim", "10"), ("--dim", "9"), ("--dim", "2", "--resolution", "10000")])
+    def test_lattice_budget_refuses_before_allocating(self, capsys, size):
+        # 7^10 lattice points at dim 10 would need about 42 GiB
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check-copula", "M", *size)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (4, "")
+        assert "lattice of" in err and f"budget of {MAX_LATTICE_POINTS}" in err
+
+    def test_lattice_budget_admits_dim_8_at_the_default_resolution(self):
+        assert (default_resolution(8) + 1) ** 8 <= MAX_LATTICE_POINTS
 
 
 class TestOracleCompare:

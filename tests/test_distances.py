@@ -60,22 +60,39 @@ class TestDistanceReport:
     @pytest.mark.parametrize("pth", [math.inf, math.nan])
     def test_non_finite_point_value_rejected(self, pth):
         with pytest.raises(DomainError, match="W_p\\^p at order p = 2 overflows"):
-            DistanceReport(value=pth, value_pth_power=pth, p=2.0, q=2.0, method="m")
+            DistanceReport((pth, pth), p=2.0, q=2.0, method="m")
 
     @pytest.mark.parametrize("bracket", [(1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0)])
     def test_non_finite_bracket_end_rejected(self, bracket):
         with pytest.raises(DomainError, match="W_p\\^p at order p = 2 overflows"):
-            DistanceReport(value=None, value_pth_power=None, p=2.0, q=1.0, method="m", bracket_pth_power=bracket)
+            DistanceReport(bracket, p=2.0, q=1.0, method="m")
 
     def test_overflowing_pair_rejected(self):
+        # no errstate here: the overflow is a DomainError, not a RuntimeWarning
         f = from_atoms([0.0, 1e200], [0.5, 0.5])
         g = from_atoms([0.0, -1e200], [0.5, 0.5])
         assert wasserstein_1d(f, g, 1.0).value_pth_power == pytest.approx(1e200)
-        with np.errstate(over="ignore"):
-            with pytest.raises(DomainError, match="overflows double precision"):
-                wasserstein_1d(f, g, 2.0)
-            with pytest.raises(DomainError, match="overflows double precision"):
-                wasserstein_shared_copula([f, f], [g, g], 2.0, 1.0)
+        with pytest.raises(DomainError, match="overflows double precision"):
+            wasserstein_1d(f, g, 2.0)
+        with pytest.raises(DomainError, match="overflows double precision"):
+            wasserstein_shared_copula([f, f], [g, g], 2.0, 1.0)
+
+    def test_exact_report_with_distinct_ends_rejected(self):
+        with pytest.raises(DomainError, match="ends must meet"):
+            DistanceReport((1.0, 1.0 + 1e-12), p=2.0, q=2.0, method="m")
+
+    @pytest.mark.parametrize("bracket", [(-1e-300, 1.0), (2.0, 1.0)])
+    def test_unordered_or_negative_interval_rejected(self, bracket):
+        with pytest.raises(DomainError, match="0 <= lower <= upper"):
+            DistanceReport(bracket, p=2.0, q=1.0, method="m")
+
+    def test_point_properties(self):
+        exact = DistanceReport((4.0, 4.0), p=2.0, q=2.0, method="m")
+        assert not exact.is_bracket
+        assert (exact.value_pth_power, exact.value) == (4.0, 2.0)
+        bracket = DistanceReport((1.0, 2.0), p=2.0, q=1.0, method="m")
+        assert bracket.is_bracket
+        assert bracket.value_pth_power is None and bracket.value is None
 
 
 class TestWasserstein1D:
@@ -251,6 +268,13 @@ class TestDallAglioFunctional:
         with pytest.raises(DomainError):
             dall_aglio_functional(coupling, 2.0)
 
+    def test_overflowing_cost_rejected(self):
+        # unchecked, inf - inf in the kernel's second difference would give nan
+        plan = monotone_plan_1d(from_atoms([0.0, 1e200], [0.5, 0.5]), from_atoms([0.0, -1e200], [0.5, 0.5]))
+        assert dall_aglio_functional(plan, 1.5) == pytest.approx(1e300, rel=1e-9)
+        with pytest.raises(DomainError, match="order p = 2 overflows double precision"):
+            dall_aglio_functional(plan, 2.0)
+
     @given(couplings(), st.sampled_from([1.2, 1.5, 2.0, 2.5, 3.0]))
     # shared atoms put mass on diagonal cells, where the two half-planes meet
     @example(
@@ -317,6 +341,16 @@ class TestSharedCopula:
             *comonotone_support(f), *comonotone_support(g), p=2.0
         )
         assert solve_exact(instance).value == pytest.approx(1.0, abs=1e-9)
+
+    def test_equal_orders_give_the_point_bracket(self, rng):
+        f = [random_discrete(rng) for _ in range(3)]
+        g = [random_discrete(rng) for _ in range(3)]
+        for p in (1.0, 1.5, 2.0, 3.0):
+            explicit = wasserstein_shared_copula(f, g, p, p)
+            assert explicit == wasserstein_shared_copula(f, g, p)
+            s = sum(wasserstein_1d(fi, gi, p).value_pth_power for fi, gi in zip(f, g))
+            assert explicit.bracket_pth_power == (s, s)
+            assert explicit.value_pth_power == s and not explicit.is_bracket
 
     def test_mismatched_norm_order_returns_bracket(self):
         f = [uniform([0.0, 1.0]), uniform([0.0, 1.0])]

@@ -76,6 +76,29 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             from_atoms([0.0, 1.0], [1.2, -0.2])
 
+    @pytest.mark.parametrize(
+        "atoms, weights",
+        [
+            ([2.0, 1.0], [0.5, 0.6]),  # a 1.1 total, which the pinned last ladder entry would hide
+            ([1.0, 2.0], [0.5, 0.6]),
+            ([2.0, 1.0], [0.5, 0.5]),  # decreasing atoms
+            ([1.0, 1.0], [0.5, 0.5]),  # a repeated atom
+            ([1.0, math.inf], [0.5, 0.5]),
+            ([1.0, 2.0], [1.5, -0.5]),
+            ([1.0, 2.0], [1.0, math.nan]),
+            ([1.0, 2.0], [1.0]),
+            ([], []),
+        ],
+    )
+    def test_discrete_invariants_owned_by_the_measure(self, atoms, weights):
+        with pytest.raises(ConstructionError):
+            Distribution1D(atoms=atoms, weights=weights)
+
+    def test_direct_discrete_construction(self):
+        d = Distribution1D(atoms=[1.0, 2.0], weights=[0.25, 0.75])
+        assert d.cdf(1.5) == 0.25 and d.quantile(0.5) == 2.0
+        assert not d.atoms.flags.writeable and not d.weights.flags.writeable
+
     def test_parametric_requires_both_evaluators(self):
         with pytest.raises(ConstructionError):
             from_quantile(lambda u: u, None, p_moment_order=2.0)  # type: ignore[arg-type]

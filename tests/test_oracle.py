@@ -119,8 +119,14 @@ class TestSolveExact:
 
     def test_overflowing_cost_rejected_before_the_lp(self):
         inst = TransportInstance([0.0, 1e200], [0.5, 0.5], [0.0, -1e200], [0.5, 0.5], p=2.0)
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="order p = 2 overflows double precision"):
+        with pytest.raises(DomainError, match="order p = 2 overflows double precision"):
             solve_exact(inst)
+
+    def test_overflowing_plan_cost_rejected(self):
+        # unchecked, mass 0 times an inf cost would give nan
+        plan = monotone_plan_1d(from_atoms([0.0, 1e200], [0.5, 0.5]), from_atoms([0.0, -1e200], [0.5, 0.5]))
+        with pytest.raises(DomainError, match="order p = 2 overflows double precision"):
+            transport_cost(plan, 2.0)
 
     def test_capacity_guard(self):
         atoms = np.arange(65.0)
