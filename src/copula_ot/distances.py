@@ -101,13 +101,14 @@ def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceRe
     p = _order(p, "Wasserstein order p")
     _require_moment(f, p)
     _require_moment(g, p)
-    # an overflow is checked once, as DistanceReport's DomainError
+    # the integrand and the tail bounds work in numpy floats, so an overflow
+    # is an inf, checked once as DistanceReport's DomainError
     with np.errstate(over="ignore"):
         pth, abserr = _comonotone_integral(
             (f, g), lambda a, b: abs(a - b) ** p, what=f"quantile integral at order {p}"
         )
+        error = 0.0 if f.is_discrete and g.is_discrete else abserr + _tail_error(f, g, p)
     pth = max(0.0, pth)  # quadrature may round a nonnegative integral below 0
-    error = 0.0 if f.is_discrete and g.is_discrete else abserr + _tail_error(f, g, p)
     return DistanceReport((pth, pth), p, p, METHOD_QUANTILE, error)
 
 
@@ -116,15 +117,15 @@ def _tail_error(f: Distribution1D, g: Distribution1D, p: float) -> float:
     # a bound on the clipped endpoint mass of the gap integrand. Without a
     # bound for both margins the truncation term stays unreported.
     masses = [_endpoint_tail_mass(d, p) for d in (f, g)]
-    if None in masses:
+    if None in masses or not sum(masses):
         return 0.0
-    return 2.0 ** (p - 1.0) * float(sum(masses))
+    return float(np.float64(2.0) ** (p - 1.0) * sum(masses))
 
 
 def _endpoint_tail_mass(d: Distribution1D, p: float) -> float | None:
     if d.is_discrete:
-        hi = max(abs(float(d.atoms[0])), abs(float(d.atoms[-1])))
-        return 2.0 * QUAD_EPS * hi**p
+        hi = np.max(np.abs(d.atoms[[0, -1]]))
+        return float(2.0 * QUAD_EPS * hi**p)
     if d.tail_moment_bound is not None:
         return float(d.tail_moment_bound(p, QUAD_EPS))
     return None
@@ -249,7 +250,10 @@ def wasserstein_shared_copula(
     reports = [wasserstein_1d(fi, gi, p) for fi, gi in zip(f_margins, g_margins)]
     terms = tuple(r.value_pth_power for r in reports)
     total = sum(terms)
-    k = len(terms) ** (p / q - 1.0)  # exactly 1.0 at q = p: the ends meet
+    # exactly 1.0 at q = p, so the ends meet; an overflow to inf is checked
+    # once, as DistanceReport's DomainError
+    with np.errstate(over="ignore"):
+        k = float(np.float64(len(terms)) ** (p / q - 1.0))
     error = sum(r.error_bound for r in reports)
     bracket = (min(1.0, k) * total, max(1.0, k) * total)
     return DistanceReport(bracket, p, q, METHOD_SHARED_SUM, error, terms)

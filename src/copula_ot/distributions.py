@@ -218,16 +218,17 @@ def _comonotone_integral(
 
     When every margin is discrete the integrand is a step function on the
     merged ladder, so it is called once on arrays of the pieces' atoms and
-    the sum is exact. Otherwise it is called on floats by quadrature on
-    (QUAD_EPS, 1 - QUAD_EPS), split at the discrete margins' cumulative
-    weights, where the integrand jumps.
+    the sum is exact. Otherwise it is called on numpy floats, so that
+    ``np.errstate`` covers its arithmetic, by quadrature on (QUAD_EPS,
+    1 - QUAD_EPS), split at the discrete margins' cumulative weights, where
+    the integrand jumps.
     """
     if all(m.is_discrete for m in margins):
         idx, widths = _ladder(margins)
         values = integrand(*(m.atoms[idx[:, k]] for k, m in enumerate(margins)))
         return float(np.sum(widths * values)), 0.0
     return _quad_checked(
-        lambda u: integrand(*(m.quantile(u) for m in margins)),
+        lambda u: integrand(*(np.float64(m.quantile(u)) for m in margins)),
         QUAD_EPS,
         1.0 - QUAD_EPS,
         what=what,

@@ -1,12 +1,14 @@
 """Exact reference solver for discrete optimal transport at desk scale.
 
 Every closed-form distance in this package is checked against the
-transportation linear program solved here. The solver itself is HiGHS via
-``scipy.optimize.linprog``; what makes it an oracle is the certificate: each
-solution is verified against recovered dual potentials (dual feasibility
-everywhere, complementary slackness on the support), and small instances can
-be cross-checked by exhaustive vertex enumeration. Guards are hard errors,
-never silent truncation; the oracle must not approximate.
+transportation linear program solved here. The solver itself is HiGHS,
+called through the binding that scipy ships and ``scipy.optimize.linprog``
+wraps (``scipy.optimize._highspy._core``); what makes it an oracle is the
+certificate: each solution is verified against recovered dual potentials
+(dual feasibility everywhere, complementary slackness on the support), and
+small instances can be cross-checked by exhaustive vertex enumeration.
+Guards are hard errors, never silent truncation; the oracle must not
+approximate.
 """
 
 from __future__ import annotations
@@ -46,6 +48,28 @@ DUAL_CERT_TOL = 1e-9
 # for desk scale: the cost and the certificate are dense m x n matrices, and
 # HiGHS's time grows with m * n variables.
 LP_MAX_TOTAL_ATOMS = 128
+
+# solve_exact refuses an instance whose largest cost is above this with a
+# DomainError naming the cost. Past it HiGHS stops solving: on random 2-64
+# atom pairs scaled to a largest cost of 1.2e18 some LPs end in "Solve
+# error", from 1e20 (HiGHS's infinite cost) all of them do, while none did
+# up to 1e18.
+LP_MAX_COST = 1e18
+
+# The options of every HiGHS solve: the ones linprog(method="highs") sends
+# for presolve off and both feasibility tolerances at 1e-10. HiGHS's default
+# feasibility tolerances (1e-7) are looser than the certificate; at those,
+# floored 1e-9 weights fail it. Presolve is off: a transportation LP has no
+# row or column to remove (only one redundant equality), so it cost about a
+# third of each solve for nothing. The certificate checks the result either
+# way.
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "off",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
 # Largest margin size, per side, that enumerate_extreme_couplings accepts.
 MAX_ENUMERATION_SIDE = 4
@@ -190,12 +214,13 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     """Solve the transportation LP exactly and certify the optimum.
 
     Instances with more than ``LP_MAX_TOTAL_ATOMS`` atoms in total raise
-    ``CapacityError``, and a cost that overflows double precision raises
-    ``DomainError``. The returned plan and value are accepted only if
-    recovered dual potentials (u, v) satisfy u_i + v_j <= c_ij everywhere
-    and meet it with equality on the support of the plan, both within
-    ``DUAL_CERT_TOL`` times the largest cost (at least 1), since the
-    potentials carry rounding on the scale of the costs.
+    ``CapacityError``; a cost that overflows double precision, or a largest
+    cost past ``LP_MAX_COST``, raises ``DomainError``. The returned plan
+    and value are accepted only if recovered dual potentials (u, v) satisfy
+    u_i + v_j <= c_ij everywhere and meet it with equality on the support
+    of the plan, both within ``DUAL_CERT_TOL`` times the largest cost (at
+    least 1), since the potentials carry rounding on the scale of the
+    costs.
     """
     m = instance.mu_weights.size
     n = instance.nu_weights.size
@@ -204,48 +229,55 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
             f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
     cost = instance.cost_matrix
-    # imported on first use: the CLI starts without scipy
-    from scipy import sparse
-    from scipy.optimize import linprog
+    largest = float(cost.max())
+    if largest > LP_MAX_COST:
+        raise DomainError(
+            f"largest transport cost {largest:g} is past {LP_MAX_COST:g}, "
+            "beyond which the LP solver fails"
+        )
+    # Imported on first use: the CLI starts without scipy. This is the
+    # binding linprog(method="highs") calls. Called directly, it skips
+    # linprog's input checks and the per-column Python loop that builds bound
+    # multipliers the certificate never reads: over half of each solve.
+    from scipy.optimize._highspy import _core as highs
 
+    solver = highs._Highs()
+    for name, value in HIGHS_OPTIONS.items():
+        if solver.setOptionValue(name, value) == highs.HighsStatus.kError:
+            raise CertificationError(f"HiGHS rejected the option {name} = {value!r}")
     # Variable i * n + j (cell (i, j)) has a 1 in exactly two constraints:
     # row i's margin and column j's margin, m + j. Column-compressed, that
-    # is two sorted row indices per column.
-    i, j = np.divmod(np.arange(m * n), n)
-    a_eq = sparse.csc_array(
-        (np.ones(2 * m * n), np.stack([i, m + j], axis=1).ravel(), np.arange(0, 2 * m * n + 1, 2)),
-        shape=(m + n, m * n),
-    )
+    # is two sorted row indices per column, so column k starts at 2k.
+    i, j = np.divmod(np.arange(m * n, dtype=np.int32), n)
     b_eq = np.concatenate([instance.mu_weights, instance.nu_weights])
-    # HiGHS's default feasibility tolerances (1e-7) are looser than the
-    # certificate below; at those, floored 1e-9 weights fail it. Presolve is
-    # off: a transportation LP has no row or column to remove (only one
-    # redundant equality), so it cost about a third of each solve for
-    # nothing. The certificate checks the result either way.
-    res = linprog(
-        cost.ravel(),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "presolve": False,
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+    loaded = solver.passModel(
+        m * n, m + n, 2 * m * n,
+        highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        cost.ravel(), np.zeros(m * n), np.full(m * n, np.inf), b_eq, b_eq,
+        np.arange(0, 2 * m * n, 2, dtype=np.int32),
+        np.stack([i, m + j], axis=1).ravel(),
+        np.ones(2 * m * n),
+        np.zeros(m * n, dtype=np.int32),  # all continuous; HiGHS rejects an empty array
     )
-    if res.status != 0:
-        raise CertificationError(f"LP solver failed with status {res.status}: {res.message}")
+    if loaded == highs.HighsStatus.kError:
+        raise CertificationError("HiGHS rejected the transport LP")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise CertificationError(
+            f"LP solver ended with model status {solver.modelStatusToString(status)!r}"
+        )
+    solution = solver.getSolution()
 
-    mass = res.x.reshape(m, n)
+    mass = np.array(solution.col_value).reshape(m, n)
     mass = np.where(np.abs(mass) < MASS_CLAMP_TOL, 0.0, mass)
     plan = DiscreteCoupling(instance.mu_points, instance.nu_points, mass)
     value = float(np.sum(plan.mass * cost))
 
-    potentials = np.asarray(res.eqlin.marginals, dtype=float)
+    potentials = np.array(solution.row_dual)
     u, v = potentials[:m], potentials[m:]
     slack = cost - (u[:, None] + v[None, :])
-    slack_tol = DUAL_CERT_TOL * max(1.0, float(cost.max()))
+    slack_tol = DUAL_CERT_TOL * max(1.0, largest)
     if float(slack.min()) < -slack_tol:
         raise CertificationError("dual infeasibility: u_i + v_j exceeds the cost somewhere")
     support = plan.support()

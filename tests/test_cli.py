@@ -192,6 +192,14 @@ class TestDist1d:
         assert (code, out) == (2, "")
         assert OVERFLOW_AT_ORDER_2 in err
 
+    def test_cost_past_the_lp_solver_bound(self, capsys, tmp_path):
+        a, b = tmp_path / "up.csv", tmp_path / "down.csv"
+        a.write_text("x\n0\n1e18\n")
+        b.write_text("x\n0\n-1e18\n")
+        code, out, err = run_cli(capsys, "dist1d", str(a), str(b), "--p", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: largest transport cost 2e+18 is past 1e+18, beyond which the LP solver fails\n"
+
     def test_parse_failure_exit_code(self, capsys, tmp_path, sample_files):
         bad = tmp_path / "bad.csv"
         bad.write_text("1\nnot-a-number\n")
@@ -376,6 +384,16 @@ class TestDistNd:
         code, out, err = run_cli(capsys, "distnd", *overflow_pair(tmp_path, 2), *orders, "--assume-shared-copula")
         assert (code, out) == (2, "")
         assert OVERFLOW_AT_ORDER_2 in err
+
+    def test_overflowing_norm_factor_is_input_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0,0\n1,1\n")
+        b.write_text("0,0\n0.5,0.5\n")
+        code, out, err = run_cli(
+            capsys, "distnd", str(a), str(b), "--p", "1200", "--q", "1", "--assume-shared-copula"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: W_p^p at order p = 1200 overflows double precision\n"
 
     @pytest.mark.parametrize("orders", [("--p", "2"), ("--p", "2", "--q", "1")])
     def test_each_coordinate_computed_once(self, capsys, nd_files, monkeypatch, orders):

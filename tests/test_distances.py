@@ -240,6 +240,19 @@ class TestMixedPairs:
             1 / (3 * n**2), abs=1e-9
         )
 
+    def test_overflowing_quadrature_integrand_is_typed(self):
+        # the integrand works in numpy floats, so |a - b|^p overflows to inf
+        # under np.errstate instead of raising a bare OverflowError
+        from scipy import stats
+
+        normal = from_quantile(stats.norm.ppf, stats.norm.cdf, math.inf)
+        wide = from_quantile(
+            lambda u: 1e200 * stats.norm.ppf(u), lambda x: stats.norm.cdf(x / 1e200), math.inf
+        )
+        for f in (from_samples([0.0, 1e200]), wide):
+            with pytest.raises(DomainError, match="W_p\\^p at order p = 2 overflows"):
+                wasserstein_1d(f, normal, 2.0)
+
 
 class TestDallAglioFunctional:
     def test_forced_unit_cost(self):
@@ -341,6 +354,14 @@ class TestSharedCopula:
             *comonotone_support(f), *comonotone_support(g), p=2.0
         )
         assert solve_exact(instance).value == pytest.approx(1.0, abs=1e-9)
+
+    def test_overflowing_norm_factor_is_typed(self):
+        # k = 2^1199 overflows while S is finite: the upper end is the
+        # report's overflow error, not a Python float's OverflowError
+        f = [from_samples([0.0, 1.0])] * 2
+        g = [from_samples([0.0, 0.5])] * 2
+        with pytest.raises(DomainError, match="W_p\\^p at order p = 1200 overflows"):
+            wasserstein_shared_copula(f, g, 1200.0, 1.0)
 
     def test_equal_orders_give_the_point_bracket(self, rng):
         f = [random_discrete(rng) for _ in range(3)]

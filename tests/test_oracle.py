@@ -1,6 +1,7 @@
 """Tests for the exact transport LP oracle and its certificates."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from copula_ot import (
     transport_cost,
     wasserstein_1d,
 )
-from copula_ot.oracle import DUAL_CERT_TOL
+from copula_ot.oracle import DUAL_CERT_TOL, HIGHS_OPTIONS, LP_MAX_COST
 
 from helpers import random_discrete, relative_gap
 
@@ -122,6 +123,19 @@ class TestSolveExact:
         with pytest.raises(DomainError, match="order p = 2 overflows double precision"):
             solve_exact(inst)
 
+    @pytest.mark.parametrize("s", [1e17, 5e17])
+    def test_large_cost_inside_the_bound_certifies(self, s):
+        inst = TransportInstance([0.0, s], [0.5, 0.5], [0.0, -s], [0.5, 0.5], p=1.0)
+        assert 2 * s <= LP_MAX_COST
+        assert solve_exact(inst).value == s
+
+    @pytest.mark.parametrize("s", [1e18, 1e20])
+    def test_cost_past_the_solver_bound_rejected(self, s):
+        inst = TransportInstance([0.0, s], [0.5, 0.5], [0.0, -s], [0.5, 0.5], p=1.0)
+        message = f"largest transport cost {2 * s:g} is past {LP_MAX_COST:g}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            solve_exact(inst)
+
     def test_overflowing_plan_cost_rejected(self):
         # unchecked, mass 0 times an inf cost would give nan
         plan = monotone_plan_1d(from_atoms([0.0, 1e200], [0.5, 0.5]), from_atoms([0.0, -1e200], [0.5, 0.5]))
@@ -213,26 +227,43 @@ class TestSolveExact:
         assert sol.value == pytest.approx(wasserstein_1d(f, g, 2.0).value_pth_power, rel=1e-9)
 
     def test_highs_options_are_pinned(self, monkeypatch):
-        # presolve off and feasibility tolerances tighter than the certificate
-        import scipy.optimize
+        # presolve off, dual simplex, and feasibility tolerances tighter than
+        # the certificate, set once each on the solver that solve_exact makes
+        from scipy.optimize._highspy import _core
 
-        original = scipy.optimize.linprog
         seen = []
 
-        def recording(*args, **kwargs):
-            seen.append(kwargs)
-            return original(*args, **kwargs)
+        class Recording(_core._Highs):
+            def setOptionValue(self, name, value):
+                seen.append((name, value))
+                return super().setOptionValue(name, value)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        monkeypatch.setattr(_core, "_Highs", Recording)
         f, g = drift_pair()
         solve_exact(TransportInstance.from_distributions(f, g, 2.0))
-        assert len(seen) == 1
-        assert seen[0]["method"] == "highs"
-        assert seen[0]["options"] == {
-            "presolve": False,
+        assert seen == list(HIGHS_OPTIONS.items())
+        assert HIGHS_OPTIONS == {
+            "output_flag": False,
+            "presolve": "off",
+            "simplex_strategy": 1,
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
         }
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [("setOptionValue", "HiGHS rejected the option output_flag = False"),
+         ("passModel", "HiGHS rejected the transport LP")],
+    )
+    def test_rejected_option_or_model_is_named(self, monkeypatch, method, message):
+        # without the check a rejected model solves as an empty one
+        from scipy.optimize._highspy import _core
+
+        rejecting = type("Rejecting", (_core._Highs,), {method: lambda self, *args: _core.HighsStatus.kError})
+        monkeypatch.setattr(_core, "_Highs", rejecting)
+        f, g = drift_pair()
+        with pytest.raises(CertificationError, match=f"^{message}$"):
+            solve_exact(TransportInstance.from_distributions(f, g, 2.0))
 
     def test_desk_style_pairs_certify(self):
         # 2-64 atoms per side: rounded samples (ladder ties) and random-simplex
@@ -261,27 +292,78 @@ class TestSolveExact:
                 lp = solve_exact(TransportInstance.from_distributions(f, g, p)).value
                 assert relative_gap(lp, wasserstein_1d(f, g, p).value_pth_power) <= 1e-9
 
+    def test_bitwise_parity_with_linprog(self):
+        # solve_exact calls the HiGHS binding that linprog wraps, with the
+        # options linprog sends; a scipy release that changes the binding
+        # must show up here before it moves a certified value
+        from scipy import sparse
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(5)
+        instances = []
+        for k in range(40):
+            m, n = rng.integers(2, 65, size=2)
+            if k % 2:
+                f = from_samples(np.round(rng.normal(0.0, 1.0, m), 2))
+                g = from_samples(np.round(rng.normal(0.3, 1.2, n), 2))
+            else:
+                f = from_atoms(rng.normal(0.0, 1.0, m), rng.dirichlet(np.ones(m)))
+                g = from_atoms(rng.normal(0.3, 1.2, n), rng.dirichlet(np.ones(n)))
+            instances.append(TransportInstance.from_distributions(f, g, 1.0 + k % 2))
+        for d, p, q in ((2, 2.0, 1.0), (2, 1.0, 2.0), (3, 1.5, 3.0), (3, 3.0, 2.0)):
+            m, n = rng.integers(2, 20, size=2)
+            instances.append(TransportInstance(
+                rng.normal(size=(m, d)), np.full(m, 1 / m), rng.normal(size=(n, d)), np.full(n, 1 / n), p=p, q=q
+            ))
+        for inst in instances:
+            m, n = inst.mu_weights.size, inst.nu_weights.size
+            cost = inst.cost_matrix
+            i, j = np.divmod(np.arange(m * n), n)
+            a_eq = sparse.csc_array(
+                (np.ones(2 * m * n), np.stack([i, m + j], axis=1).ravel(), np.arange(0, 2 * m * n + 1, 2)),
+                shape=(m + n, m * n),
+            )
+            res = linprog(
+                cost.ravel(),
+                A_eq=a_eq,
+                b_eq=np.concatenate([inst.mu_weights, inst.nu_weights]),
+                bounds=(0, None),
+                method="highs",
+                options={
+                    "presolve": False,
+                    "primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10,
+                },
+            )
+            mass = res.x.reshape(m, n)
+            mass = np.where(np.abs(mass) < 1e-12, 0.0, mass)
+            sol = solve_exact(inst)
+            assert sol.value == float(np.sum(mass * cost))
+            assert np.array_equal(sol.plan.mass, mass)
+            assert np.array_equal(np.concatenate([sol.row_potentials, sol.col_potentials]), res.eqlin.marginals)
+
     def test_shifted_potential_fails_the_certificate(self, monkeypatch):
         # The certificate is relative to the largest cost; a potential off by
         # 1e-6 of it must still be caught. A second row potential moves the
         # other way, so the dual objective (uniform weights) does not change
         # and only the slack checks can catch it.
-        import scipy.optimize
+        from scipy.optimize._highspy import _core
 
-        original = scipy.optimize.linprog
-
-        def shifted(c, *args, **kwargs):
-            res = original(c, *args, **kwargs)
-            marginals = res.eqlin.marginals.copy()
-            marginals[:2] += np.array([1.0, -1.0]) * 1e-6 * c.max()
-            res.eqlin.marginals = marginals
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "linprog", shifted)
         rng = np.random.default_rng(0)
         inst = TransportInstance.from_distributions(
             uniform(rng.normal(0.0, 1e4, 30)), uniform(rng.normal(0.0, 1e4, 30)), p=2.0
         )
+        shift = np.array([1.0, -1.0]) * 1e-6 * inst.cost_matrix.max()
+
+        class Shifted(_core._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                row_dual = np.array(solution.row_dual)
+                row_dual[:2] += shift
+                solution.row_dual = row_dual
+                return solution
+
+        monkeypatch.setattr(_core, "_Highs", Shifted)
         with pytest.raises(CertificationError, match="dual infeasibility|complementary slackness"):
             solve_exact(inst)
 
