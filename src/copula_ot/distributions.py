@@ -202,12 +202,18 @@ class Distribution1D:
 
     def p_moment(self, p: float) -> float:
         """E|X|^p: exact weighted sum for discrete measures, the comonotone
-        integral of |F^{-1}(u)|^p otherwise.
+        integral of |F^{-1}(u)|^p otherwise. A moment that overflows double
+        precision raises ``DomainError`` naming the order.
         """
         p = _order(p, "moment order p")
-        if self.atoms is not None:
-            return float(np.sum(self.weights * np.abs(self.atoms) ** p))
-        return _comonotone_integral((self,), lambda a: abs(a) ** p, what=f"moment of order {p}")[0]
+        with np.errstate(over="ignore"):
+            if self.atoms is not None:
+                moment = float(np.sum(self.weights * np.abs(self.atoms) ** p))
+            else:
+                moment = _comonotone_integral((self,), lambda a: abs(a) ** p, what=f"moment of order {p}")[0]
+        if not math.isfinite(moment):
+            raise DomainError(f"moment of order p = {p:g} overflows double precision")
+        return moment
 
 
 def _comonotone_integral(

@@ -9,6 +9,13 @@ certificate: each solution is verified against recovered dual potentials
 small instances can be cross-checked by exhaustive vertex enumeration.
 Guards are hard errors, never silent truncation; the oracle must not
 approximate.
+
+On the line the paper's d = 1 result (dall'Aglio; Vallender) says the
+comonotone coupling is optimal for every p >= 1, so the simplex starts at
+the monotone staircase basis and HiGHS only has to confirm it. In higher
+dimensions that coupling is not optimal in general and the LP starts cold.
+HiGHS sees the costs scaled to a largest cost of 1, which its absolute
+tolerances need on large costs; the certificate runs on the raw costs.
 """
 
 from __future__ import annotations
@@ -48,13 +55,6 @@ DUAL_CERT_TOL = 1e-9
 # for desk scale: the cost and the certificate are dense m x n matrices, and
 # HiGHS's time grows with m * n variables.
 LP_MAX_TOTAL_ATOMS = 128
-
-# solve_exact refuses an instance whose largest cost is above this with a
-# DomainError naming the cost. Past it HiGHS stops solving: on random 2-64
-# atom pairs scaled to a largest cost of 1.2e18 some LPs end in "Solve
-# error", from 1e20 (HiGHS's infinite cost) all of them do, while none did
-# up to 1e18.
-LP_MAX_COST = 1e18
 
 # The options of every HiGHS solve: the ones linprog(method="highs") sends
 # for presolve off and both feasibility tolerances at 1e-10. HiGHS's default
@@ -214,13 +214,14 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     """Solve the transportation LP exactly and certify the optimum.
 
     Instances with more than ``LP_MAX_TOTAL_ATOMS`` atoms in total raise
-    ``CapacityError``; a cost that overflows double precision, or a largest
-    cost past ``LP_MAX_COST``, raises ``DomainError``. The returned plan
-    and value are accepted only if recovered dual potentials (u, v) satisfy
-    u_i + v_j <= c_ij everywhere and meet it with equality on the support
-    of the plan, both within ``DUAL_CERT_TOL`` times the largest cost (at
-    least 1), since the potentials carry rounding on the scale of the
-    costs.
+    ``CapacityError``; a cost that overflows double precision raises
+    ``DomainError``. On the line HiGHS starts from the comonotone staircase
+    (``_staircase_basis``); in higher dimensions it starts cold. The
+    returned plan and value are accepted only if recovered dual potentials
+    (u, v) satisfy u_i + v_j <= c_ij everywhere and meet it with equality
+    on the support of the plan, both within ``DUAL_CERT_TOL`` times the
+    largest cost (at least 1), since the potentials carry rounding on the
+    scale of the costs.
     """
     m = instance.mu_weights.size
     n = instance.nu_weights.size
@@ -230,11 +231,6 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
         )
     cost = instance.cost_matrix
     largest = float(cost.max())
-    if largest > LP_MAX_COST:
-        raise DomainError(
-            f"largest transport cost {largest:g} is past {LP_MAX_COST:g}, "
-            "beyond which the LP solver fails"
-        )
     # Imported on first use: the CLI starts without scipy. This is the
     # binding linprog(method="highs") calls. Called directly, it skips
     # linprog's input checks and the per-column Python loop that builds bound
@@ -245,6 +241,13 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     for name, value in HIGHS_OPTIONS.items():
         if solver.setOptionValue(name, value) == highs.HighsStatus.kError:
             raise CertificationError(f"HiGHS rejected the option {name} = {value!r}")
+    # HiGHS sees the cost divided by the largest one. Its feasibility
+    # tolerances are absolute, so on raw costs from about 2e8 some solves
+    # ended in status "Unknown", and from the staircase start more of them;
+    # scaled, none did up to the largest finite cost. Only the potentials
+    # come back scaled: the plan, the value and the certificate below use
+    # the raw costs.
+    scale = largest if largest > 0.0 else 1.0
     # Variable i * n + j (cell (i, j)) has a 1 in exactly two constraints:
     # row i's margin and column j's margin, m + j. Column-compressed, that
     # is two sorted row indices per column, so column k starts at 2k.
@@ -253,7 +256,7 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     loaded = solver.passModel(
         m * n, m + n, 2 * m * n,
         highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-        cost.ravel(), np.zeros(m * n), np.full(m * n, np.inf), b_eq, b_eq,
+        cost.ravel() / scale, np.zeros(m * n), np.full(m * n, np.inf), b_eq, b_eq,
         np.arange(0, 2 * m * n, 2, dtype=np.int32),
         np.stack([i, m + j], axis=1).ravel(),
         np.ones(2 * m * n),
@@ -261,6 +264,11 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     )
     if loaded == highs.HighsStatus.kError:
         raise CertificationError("HiGHS rejected the transport LP")
+    # Only on the line: in R^d the staircase is not optimal, and starting
+    # from it was slower than a cold start.
+    if instance.mu_points.shape[1] == 1:
+        if solver.setBasis(_staircase_basis(instance, highs)) == highs.HighsStatus.kError:
+            raise CertificationError("HiGHS rejected the staircase basis")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -274,7 +282,7 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     plan = DiscreteCoupling(instance.mu_points, instance.nu_points, mass)
     value = float(np.sum(plan.mass * cost))
 
-    potentials = np.array(solution.row_dual)
+    potentials = np.array(solution.row_dual) * scale
     u, v = potentials[:m], potentials[m:]
     slack = cost - (u[:, None] + v[None, :])
     slack_tol = DUAL_CERT_TOL * max(1.0, largest)
@@ -286,6 +294,40 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     if abs(float(b_eq @ potentials) - value) > max(DUAL_CERT_TOL, DUAL_CERT_TOL * abs(value)):
         raise CertificationError("dual objective does not match the primal value")
     return TransportSolution(value, plan, u, v)
+
+
+def _staircase_basis(instance: TransportInstance, highs):
+    """The starting basis of a 1-D transport LP: the monotone staircase.
+
+    By dall'Aglio's theorem the comonotone coupling is optimal for
+    |x - y|^p at every p >= 1, so the cells it walks through are an optimal
+    simplex basis. Each side is sorted by its coordinate; the path starts
+    at the first pair of atoms and, at each interior cumulative-weight
+    break of either side (in merged order), steps to that side's next atom:
+    m + n - 1 cells from (0, 0) to (m - 1, n - 1). Any such path is a
+    spanning tree of the supply/demand graph, and so with one slack a
+    basis, however tied breaks are ordered; no tie rule is needed. The
+    path carries no mass and no value, so this is not a second ``_ladder``:
+    HiGHS computes the basic solution and prices every column itself. The
+    slack is the last margin row, whose equality is redundant.
+    """
+    m, n = instance.mu_weights.size, instance.nu_weights.size
+    rows = np.argsort(instance.mu_points[:, 0], kind="stable")
+    cols = np.argsort(instance.nu_points[:, 0], kind="stable")
+    breaks = np.concatenate(
+        [np.cumsum(instance.mu_weights[rows])[:-1], np.cumsum(instance.nu_weights[cols])[:-1]]
+    )
+    step_row = np.argsort(breaks, kind="stable") < m - 1
+    i = np.concatenate([[0], np.cumsum(step_row)])
+    j = np.concatenate([[0], np.cumsum(~step_row)])
+    status = highs.HighsBasisStatus
+    col_status = [status.kLower] * (m * n)
+    for k in (rows[i] * n + cols[j]).tolist():
+        col_status[k] = status.kBasic
+    basis = highs.HighsBasis()
+    basis.col_status = col_status
+    basis.row_status = [status.kLower] * (m + n - 1) + [status.kBasic]
+    return basis
 
 
 def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling:

@@ -192,13 +192,14 @@ class TestDist1d:
         assert (code, out) == (2, "")
         assert OVERFLOW_AT_ORDER_2 in err
 
-    def test_cost_past_the_lp_solver_bound(self, capsys, tmp_path):
+    def test_large_cost_reaches_the_oracle(self, capsys, tmp_path):
+        # a largest cost of 2e18 once stopped HiGHS; on scaled costs it certifies
         a, b = tmp_path / "up.csv", tmp_path / "down.csv"
         a.write_text("x\n0\n1e18\n")
         b.write_text("x\n0\n-1e18\n")
         code, out, err = run_cli(capsys, "dist1d", str(a), str(b), "--p", "1")
-        assert (code, out) == (2, "")
-        assert err == "error: largest transport cost 2e+18 is past 1e+18, beyond which the LP solver fails\n"
+        assert (code, err) == (0, "")
+        assert strict_json(out)["methods"]["oracle_lp"] == 1e18
 
     def test_parse_failure_exit_code(self, capsys, tmp_path, sample_files):
         bad = tmp_path / "bad.csv"

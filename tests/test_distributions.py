@@ -1,6 +1,7 @@
 """Tests for one-dimensional measures: CDF, quantile, moments, tails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ class TestPMoment:
         d = from_samples(samples)
         expected = np.mean(np.abs(samples) ** p)
         assert d.p_moment(p) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_overflow_is_a_domain_error(self):
+        # on both paths, with no numpy RuntimeWarning on the way
+        wide = from_quantile(
+            lambda u: 1e200 * (2.0 * u - 1.0), lambda x: min(1.0, max(0.0, (x / 1e200 + 1.0) / 2.0)), 4.0
+        )
+        for dist in (from_samples([0.0, 1e200]), wide):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^moment of order p = 2 overflows double precision$"):
+                    dist.p_moment(2.0)
 
     def test_parametric_quadrature(self):
         uniform = from_quantile(
