@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 cross-method disagreement beyond tolerance,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -164,11 +165,7 @@ def _relative_gap(a: float, b: float) -> float:
 
 
 def _max_disagreement(values: Sequence[float]) -> float:
-    worst = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            worst = max(worst, _relative_gap(values[i], values[j]))
-    return worst
+    return max((_relative_gap(a, b) for a, b in itertools.combinations(values, 2)), default=0.0)
 
 
 def _oracle_value(instance: TransportInstance, notices: list[str]) -> float | None:

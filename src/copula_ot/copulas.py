@@ -80,13 +80,16 @@ class CopulaFn:
         """Values at the rows of a (k, d) array, as a (k,) array."""
         points = np.asarray(points, dtype=float)
         if self.eval_batch is None:
-            return np.array([float(self.eval_point(row)) for row in points])
-        values = np.asarray(self.eval_batch(points), dtype=float)
+            values = np.array([float(self.eval_point(row)) for row in points])
+        else:
+            values = np.asarray(self.eval_batch(points), dtype=float)
         if values.shape != points.shape[:1]:
             raise DomainError(
                 f"eval_batch of copula {self.label!r} returned shape {values.shape} "
                 f"for {points.shape[0]} points, expected ({points.shape[0]},)"
             )
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"copula {self.label!r} returned a non-finite value")
         return values
 
 

@@ -106,8 +106,8 @@ class DiscreteCoupling:
             )
         if rp.shape[1] != cp.shape[1]:
             raise ConstructionError("row and column supports must share a dimension")
-        if np.any(mat < -MASS_CLAMP_TOL):
-            raise ConstructionError("coupling mass has a materially negative entry")
+        if not np.all(np.isfinite(mat)) or np.any(mat < -MASS_CLAMP_TOL):
+            raise ConstructionError("coupling mass must be finite and not materially negative")
         mat = np.where(mat < 0.0, 0.0, mat)
         total = float(mat.sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
@@ -354,13 +354,14 @@ def enumerate_extreme_couplings(
 ) -> list[DiscreteCoupling]:
     """All vertices of the transportation polytope with the given margins.
 
-    A vertex is a feasible plan whose support is a spanning forest of the
-    bipartite supply/demand graph. Enumeration walks every edge subset of
-    size m + n - 1 and peels leaves to solve for the unique masses; a subset
-    that is not a spanning tree contains a cycle, which peeling cannot
-    consume, so it yields no masses. It keeps the nonnegative ones and
-    deduplicates. Vertex counts explode combinatorially, hence the hard
-    size guard of ``MAX_ENUMERATION_SIDE`` atoms per side.
+    A vertex is a basic feasible solution of the margin equations that
+    ``solve_exact`` hands HiGHS: m + n - 1 cells whose margin columns are
+    independent, carrying the nonnegative masses those equations force.
+    All cell sets are solved in one batched ``np.linalg.solve``; vertices
+    come in ``itertools.combinations`` order, each once (masses rounded to
+    12 decimals). Margins and points are validated as a
+    ``TransportInstance``. Vertex counts explode combinatorially, hence the
+    hard size guard of ``MAX_ENUMERATION_SIDE`` atoms per side.
     """
     mw = np.asarray(mu_weights, dtype=float).ravel()
     nw = np.asarray(nu_weights, dtype=float).ravel()
@@ -369,56 +370,24 @@ def enumerate_extreme_couplings(
         raise CapacityError(
             f"margins of size {m} x {n} exceed the guard of {MAX_ENUMERATION_SIDE}"
         )
-    if abs(float(mw.sum()) - float(nw.sum())) > 1e-9:
-        raise DomainError("margins must carry equal total mass")
     rp = np.arange(m, dtype=float) if row_points is None else row_points
     cp = np.arange(n, dtype=float) if col_points is None else col_points
-
-    edges = list(itertools.product(range(m), range(n)))
-    seen: set[tuple] = set()
-    vertices: list[DiscreteCoupling] = []
-    for tree in itertools.combinations(edges, m + n - 1):
-        mass = _solve_tree_masses(tree, mw, nw)
-        if mass is None or float(mass.min()) < -MASS_CLAMP_TOL:
-            continue
-        mass = np.where(mass < 0.0, 0.0, mass)
-        key = tuple(np.round(mass, 12).ravel())
-        if key in seen:
-            continue
-        seen.add(key)
-        vertices.append(DiscreteCoupling(rp, cp, mass))
-    return vertices
-
-
-def _solve_tree_masses(
-    tree: Sequence[tuple[int, int]],
-    mu_weights: np.ndarray,
-    nu_weights: np.ndarray,
-) -> np.ndarray | None:
-    """Peel tree leaves to recover the unique masses on its edges, or None
-    when the edges do not form a spanning tree."""
-    m, n = mu_weights.size, nu_weights.size
-    supply = np.concatenate([mu_weights, nu_weights]).astype(float)
-    adjacency: dict[int, set[int]] = {k: set() for k in range(m + n)}
-    for i, j in tree:
-        adjacency[i].add(m + j)
-        adjacency[m + j].add(i)
-    mass = np.zeros((m, n))
-    leaves = [k for k, nbrs in adjacency.items() if len(nbrs) == 1]
-    for _ in range(len(tree)):
-        if not leaves:
-            return None
-        leaf = leaves.pop()
-        if not adjacency[leaf]:
-            return None
-        other = next(iter(adjacency[leaf]))
-        amount = supply[leaf]
-        i, j = (leaf, other - m) if leaf < m else (other, leaf - m)
-        mass[i, j] = amount
-        supply[leaf] = 0.0
-        supply[other] -= amount
-        adjacency[leaf].remove(other)
-        adjacency[other].remove(leaf)
-        if len(adjacency[other]) == 1:
-            leaves.append(other)
-    return mass
+    instance = TransportInstance(rp, mw, cp, nw)
+    # Cell i * n + j enters row i's and column j's equation; the last
+    # equation follows from the others and is dropped.
+    margins = np.vstack([np.kron(np.eye(m), np.ones(n)), np.tile(np.eye(n), m)])[:-1]
+    subsets = np.array(list(itertools.combinations(range(m * n), m + n - 1)))
+    squares = margins[:, subsets].transpose(1, 0, 2)
+    # The margin matrix is totally unimodular: every square submatrix has
+    # determinant -1, 0 or 1, and elimination keeps its entries in {0, +-1}.
+    # So |det| > 0.5 separates bases from singular cell sets exactly.
+    basic = np.abs(np.linalg.det(squares)) > 0.5
+    solved = np.linalg.solve(squares[basic], np.concatenate([mw, nw])[:-1, None])[..., 0]
+    feasible = solved.min(axis=1) >= -MASS_CLAMP_TOL
+    masses = np.zeros((int(feasible.sum()), m * n))
+    np.put_along_axis(masses, subsets[basic][feasible], solved[feasible].clip(min=0.0), axis=1)
+    _, first = np.unique(np.round(masses, 12), axis=0, return_index=True)
+    return [
+        DiscreteCoupling(instance.mu_points, instance.nu_points, mass.reshape(m, n))
+        for mass in masses[np.sort(first)]
+    ]

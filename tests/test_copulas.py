@@ -302,6 +302,21 @@ class TestBatchShape:
         with pytest.raises(DomainError, match="lopsided"):
             coupling_from_joint(h)
 
+    @pytest.mark.parametrize(
+        "copula",
+        [
+            CopulaFn(dim=2, eval_point=lambda u: 0.0, label="nan", eval_batch=lambda pts: pts[:, 0] * np.nan),
+            CopulaFn(dim=2, eval_point=lambda u: float("nan"), label="nan"),
+        ],
+        ids=["batch", "point-only"],
+    )
+    def test_nan_value_names_the_copula(self, copula):
+        with pytest.raises(DomainError, match="'nan'"):
+            copula.batch(np.full((3, 2), 0.5))
+        f = from_atoms([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(DomainError, match="'nan'"):
+            coupling_from_joint(JointCDF(copula, [f, f]))
+
 
 class TestComonotoneSupport:
     def test_pair_of_two_atom_margins(self):

@@ -1,6 +1,7 @@
 """Tests for the exact transport LP oracle and its certificates."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -453,23 +454,59 @@ class TestEnumerateExtremeCouplings:
         assert len(vertices) == 1
         assert vertices[0].mass.tolist() == [[0.25, 0.25, 0.5]]
 
-    def test_uniform_3x3_gives_birkhoff_vertices(self):
-        vertices = enumerate_extreme_couplings([1 / 3] * 3, [1 / 3] * 3)
-        assert len(vertices) == 6
-        perms = {
-            tuple(np.argmax(v.mass, axis=1).tolist()) for v in vertices
-        }
-        assert perms == set(itertools.permutations(range(3)))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_uniform_margins_give_birkhoff_vertices(self, n):
+        vertices = enumerate_extreme_couplings([1 / n] * n, [1 / n] * n)
+        assert len(vertices) == math.factorial(n)
+        perms = {tuple(np.argmax(v.mass, axis=1).tolist()) for v in vertices}
+        assert perms == set(itertools.permutations(range(n)))
         for v in vertices:
-            assert np.allclose(np.sort(v.mass.ravel())[-3:], 1 / 3)
+            permutation = np.eye(n)[np.argmax(v.mass, axis=1)]
+            assert np.allclose(v.mass, permutation / n, rtol=0.0, atol=1e-15)
+
+    def test_vertex_order_is_pinned(self):
+        # combinations order of the cell sets; dyadic margins keep the
+        # masses exact
+        vertices = enumerate_extreme_couplings([0.375, 0.625], [0.25, 0.5, 0.25])
+        assert [v.mass.tolist() for v in vertices] == [
+            [[0.25, 0.125, 0.0], [0.0, 0.375, 0.25]],
+            [[0.125, 0.0, 0.25], [0.125, 0.5, 0.0]],
+            [[0.25, 0.0, 0.125], [0.0, 0.5, 0.125]],
+            [[0.0, 0.125, 0.25], [0.25, 0.375, 0.0]],
+            [[0.0, 0.375, 0.0], [0.25, 0.125, 0.25]],
+        ]
 
     def test_guard(self):
         with pytest.raises(CapacityError):
             enumerate_extreme_couplings([0.2] * 5, [0.2] * 5)
 
     def test_margins_must_balance(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConstructionError):
             enumerate_extreme_couplings([1.0], [0.5])
+
+    @pytest.mark.parametrize(
+        "args, cause",
+        [
+            (([np.nan, 0.5], [1.0]), "strictly positive"),
+            (([1.5, -0.5], [1.0]), "strictly positive"),
+            (([], []), "nonempty"),
+            (([0.5, 0.5], [1.0], [0.0], [0.0]), "weights do not match its atoms"),
+        ],
+        ids=["nan-weight", "negative-weight", "empty", "points-mismatch"],
+    )
+    def test_invalid_input_names_the_cause(self, args, cause):
+        with pytest.raises(ConstructionError, match=cause):
+            enumerate_extreme_couplings(*args)
+
+    def test_memory_at_the_guard(self):
+        # the batched bases grow with C(mn, m + n - 1): 11,440 cell sets here
+        tracemalloc.start()
+        try:
+            enumerate_extreme_couplings([0.25] * 4, [0.25] * 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_every_vertex_has_forest_support(self, rng):
         f = random_discrete(rng, max_atoms=4)
@@ -548,6 +585,10 @@ class TestDiscreteCoupling:
     def test_tiny_negatives_clamped(self):
         plan = DiscreteCoupling([0.0, 1.0], [0.0], [[1.0, ], [-1e-14]])
         assert plan.mass[1, 0] == 0.0
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ConstructionError, match="finite"):
+            DiscreteCoupling([0.0, 1.0], [0.0], [[1.0], [np.nan]])
 
     def test_total_mass_checked(self):
         with pytest.raises(ConstructionError):
