@@ -382,7 +382,8 @@ def enumerate_extreme_couplings(
     # determinant -1, 0 or 1, and elimination keeps its entries in {0, +-1}.
     # So |det| > 0.5 separates bases from singular cell sets exactly.
     basic = np.abs(np.linalg.det(squares)) > 0.5
-    solved = np.linalg.solve(squares[basic], np.concatenate([mw, nw])[:-1, None])[..., 0]
+    # b is (1, M, 1): NumPy < 2 would read an (M, 1) b as a stack of 1-vectors
+    solved = np.linalg.solve(squares[basic], np.concatenate([mw, nw])[None, :-1, None])[..., 0]
     feasible = solved.min(axis=1) >= -MASS_CLAMP_TOL
     masses = np.zeros((int(feasible.sum()), m * n))
     np.put_along_axis(masses, subsets[basic][feasible], solved[feasible].clip(min=0.0), axis=1)

@@ -489,14 +489,34 @@ class TestEnumerateExtremeCouplings:
         [
             (([np.nan, 0.5], [1.0]), "strictly positive"),
             (([1.5, -0.5], [1.0]), "strictly positive"),
+            (([0.5, 0.5, 0.0], [1.0]), "strictly positive"),
+            (([0.5, 0.5 + 1e-11], [1.0 + 1e-11]), "sum to 1 within"),
             (([], []), "nonempty"),
             (([0.5, 0.5], [1.0], [0.0], [0.0]), "weights do not match its atoms"),
         ],
-        ids=["nan-weight", "negative-weight", "empty", "points-mismatch"],
+        ids=[
+            "nan-weight", "negative-weight", "zero-weight",
+            "sum-off-by-1e-11", "empty", "points-mismatch",
+        ],
     )
     def test_invalid_input_names_the_cause(self, args, cause):
         with pytest.raises(ConstructionError, match=cause):
             enumerate_extreme_couplings(*args)
+
+    def test_solve_broadcasts_one_right_hand_side(self, monkeypatch):
+        # NumPy < 2 solves against a stack of vectors whenever
+        # b.ndim == a.ndim - 1; emulate that rule on NumPy 2
+        solve = np.linalg.solve
+
+        def numpy1_solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            if b.ndim == a.ndim - 1:
+                return solve(a, b[..., None])[..., 0]
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        assert len(enumerate_extreme_couplings([0.5, 0.5], [0.5, 0.5])) == 2
+        assert len(enumerate_extreme_couplings([1.0], [1.0])) == 1
 
     def test_memory_at_the_guard(self):
         # the batched bases grow with C(mn, m + n - 1): 11,440 cell sets here
