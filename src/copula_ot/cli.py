@@ -24,7 +24,7 @@ import numpy as np
 
 from .copulas import built_in_copula, validate_copula
 from .distances import w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
-from .distributions import from_samples, tail_decay_diagnostic
+from .distributions import _order, from_samples, tail_decay_diagnostic
 from .errors import CapacityError, CopulaOTError, DomainError
 from .oracle import (
     TransportInstance,
@@ -394,9 +394,7 @@ def _positive_order(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value >= 1.0):
-        raise argparse.ArgumentTypeError("order must be finite and >= 1")
-    return value
+    return _order(value, "order", error=argparse.ArgumentTypeError)
 
 
 def build_parser() -> argparse.ArgumentParser:

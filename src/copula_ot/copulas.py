@@ -54,15 +54,14 @@ MAX_LATTICE_POINTS = 6_000_000
 class CopulaFn:
     """An evaluable candidate d-copula.
 
-    ``eval_point`` maps a point of [0, 1]^d to [0, 1]. ``eval_batch``, when
-    present, maps a (k, d) array to a (k,) array and exists purely so grid
-    validation stays fast for the built-in families.
+    ``eval_batch``, the only evaluator, maps a (k, d) array of points of
+    [0, 1]^d to the (k,) array of their values; single points go through
+    it as a batch of one.
     """
 
     dim: int
-    eval_point: Callable[[Sequence[float]], float]
+    eval_batch: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
-    eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -74,15 +73,12 @@ class CopulaFn:
             raise DomainError(f"expected a point of length {self.dim}")
         if np.any(point < 0.0) or np.any(point > 1.0):
             raise DomainError("copula arguments live in the unit hypercube")
-        return float(self.eval_point(point))
+        return float(self.batch(point[None])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of a (k, d) array, as a (k,) array."""
         points = np.asarray(points, dtype=float)
-        if self.eval_batch is None:
-            values = np.array([float(self.eval_point(row)) for row in points])
-        else:
-            values = np.asarray(self.eval_batch(points), dtype=float)
+        values = np.asarray(self.eval_batch(points), dtype=float)
         if values.shape != points.shape[:1]:
             raise DomainError(
                 f"eval_batch of copula {self.label!r} returned shape {values.shape} "
@@ -97,7 +93,6 @@ def comonotonicity_copula(dim: int) -> CopulaFn:
     """The upper Frechet-Hoeffding bound M(u) = min(u_1, ..., u_d)."""
     return CopulaFn(
         dim=dim,
-        eval_point=lambda u: float(np.min(u)),
         label="M",
         eval_batch=lambda pts: pts.min(axis=1),
     )
@@ -111,7 +106,6 @@ def lower_frechet_bound(dim: int) -> CopulaFn:
     """
     return CopulaFn(
         dim=dim,
-        eval_point=lambda u: max(float(np.sum(u)) - (dim - 1), 0.0),
         label="W",
         eval_batch=lambda pts: np.maximum(pts.sum(axis=1) - (dim - 1), 0.0),
     )
@@ -121,7 +115,6 @@ def independence_copula(dim: int) -> CopulaFn:
     """The product copula Pi(u) = u_1 * ... * u_d."""
     return CopulaFn(
         dim=dim,
-        eval_point=lambda u: float(np.prod(u)),
         label="Pi",
         eval_batch=lambda pts: pts.prod(axis=1),
     )

@@ -200,14 +200,17 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     p = _order(p, "order p of the double-integral identity", strict=True)
     if coupling.dim != 1:
         raise DomainError("this functional is defined for couplings on R")
-    xs = coupling.row_points.ravel()
-    ys = coupling.col_points.ravel()
+    # Supports may come unsorted or repeated: sort each stably, the mass alike.
+    rows = np.argsort(coupling.row_points.ravel(), kind="stable")
+    cols = np.argsort(coupling.col_points.ravel(), kind="stable")
+    xs = coupling.row_points.ravel()[rows]
+    ys = coupling.col_points.ravel()[cols]
     grid = np.union1d(xs, ys)
 
     # Joint and margin CDFs on the merged lattice. padded[i, j] is the mass
-    # of the first i row points and the first j column points.
+    # of the first i sorted row points and the first j sorted column points.
     padded = np.zeros((xs.size + 1, ys.size + 1))
-    padded[1:, 1:] = np.cumsum(np.cumsum(coupling.mass, axis=0), axis=1)
+    padded[1:, 1:] = np.cumsum(np.cumsum(coupling.mass[np.ix_(rows, cols)], axis=0), axis=1)
     xi = np.searchsorted(xs, grid[:-1], side="right")
     yi = np.searchsorted(ys, grid[:-1], side="right")
     joint = padded[np.ix_(xi, yi)]

@@ -44,6 +44,26 @@ WEIGHT_SUM_TOL = 1e-12
 QUAD_EPS = 1e-9
 
 
+def _owned(values) -> np.ndarray:
+    """A read-only float copy of ``values``: every stored input array is one,
+    so no caller's array, or view of one, can change a checked object."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _weights(values, name: str) -> np.ndarray:
+    """The one weight rule: an owned flat copy of ``values`` if every weight is
+    finite and strictly positive and they sum to 1 within ``WEIGHT_SUM_TOL``."""
+    w = _owned(values).ravel()
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ConstructionError(f"{name} must be finite and strictly positive")
+    total = float(np.sum(w))
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        raise ConstructionError(f"{name} must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+    return w
+
+
 def _atom_index(cum: np.ndarray, u):
     """Index of the first entry of the cumulative ladder ``cum`` that reaches
     ``u`` within ``QUANTILE_TIE_TOL``: the quantile's atom, elementwise."""
@@ -92,7 +112,7 @@ class Distribution1D:
     downstream formula consumes only the (CDF, quantile) pair, or
     ``(cdf_fn, quantile_fn)`` for parametric ones. Atoms must be finite and
     strictly increasing, and weights strictly positive with a total within
-    ``WEIGHT_SUM_TOL`` of 1; both are stored as read-only float arrays.
+    ``WEIGHT_SUM_TOL`` of 1; both are stored as read-only float copies.
 
     ``p_moment_order`` is the largest order ``p`` for which membership in
     the Wasserstein space of order ``p`` is asserted. Discrete measures get
@@ -122,20 +142,14 @@ class Distribution1D:
             raise ConstructionError("p_moment_order must be >= 1")
         if self.atoms is None:
             return
-        atoms = np.asarray(self.atoms, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if atoms.ndim != 1 or atoms.size == 0 or weights.shape != atoms.shape:
+        atoms = _owned(self.atoms)
+        weights = _weights(self.weights, "weights")
+        if atoms.ndim != 1 or weights.shape != atoms.shape:
             raise ConstructionError("a discrete measure needs at least one atom, each with a weight")
         if not (np.all(np.isfinite(atoms)) and np.all(atoms[1:] > atoms[:-1])):
             raise ConstructionError("atoms must be finite and strictly increasing")
-        if not np.all(weights > 0.0):
-            raise ConstructionError("weights must be strictly positive")
-        total = float(np.sum(weights))
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise ConstructionError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
-        for arr, field in ((atoms, "atoms"), (weights, "weights")):
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
 
     # -- structure ---------------------------------------------------------
 
@@ -284,15 +298,13 @@ def from_atoms(
     """Discrete measure from (atom, weight) pairs.
 
     Duplicate atoms are merged by accumulating their weights so the CDF is a
-    step function with strictly increasing jump locations. Weights must be
-    strictly positive before the merge; the measure checks the rest.
+    step function with strictly increasing jump locations. The weights meet
+    the weight rule before the merge; the measure checks the rest.
     """
     a = np.asarray(atoms, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
+    w = _weights(weights, "weights")
     if a.shape != w.shape:
         raise ConstructionError("atoms and weights must have matching lengths")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ConstructionError("weights must be finite and strictly positive")
     uniq, inverse = np.unique(a, return_inverse=True)
     return Distribution1D(atoms=uniq, weights=np.bincount(inverse, weights=w))
 

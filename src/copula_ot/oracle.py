@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import WEIGHT_SUM_TOL, Distribution1D, _ladder, _order
+from .distributions import Distribution1D, _ladder, _order, _owned, _weights
 from .errors import (
     CapacityError,
     CertificationError,
@@ -48,6 +48,8 @@ __all__ = [
 # noise and get clamped to zero.
 MASS_CLAMP_TOL = 1e-12
 
+# Looser than WEIGHT_SUM_TOL: a plan carries its margins' total, up to 1e-12
+# off, plus rounding (1.0002e-12 seen) and HiGHS's 1e-10 feasibility slack.
 TOTAL_MASS_TOL = 1e-10
 DUAL_CERT_TOL = 1e-9
 
@@ -76,8 +78,8 @@ MAX_ENUMERATION_SIDE = 4
 
 
 def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
-    """Coerce scalars / flat lists / (k, d) arrays into a (k, d) float array."""
-    arr = np.asarray(points, dtype=float)
+    """Coerce scalars / flat lists / (k, d) arrays into an owned (k, d) float array."""
+    arr = _owned(points)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -108,12 +110,11 @@ class DiscreteCoupling:
             raise ConstructionError("row and column supports must share a dimension")
         if not np.all(np.isfinite(mat)) or np.any(mat < -MASS_CLAMP_TOL):
             raise ConstructionError("coupling mass must be finite and not materially negative")
-        mat = np.where(mat < 0.0, 0.0, mat)
+        mat = _owned(np.where(mat < 0.0, 0.0, mat))
         total = float(mat.sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
             raise ConstructionError(f"total mass is {total!r}, expected 1")
-        for arr, field in ((rp, "row_points"), (cp, "col_points"), (mat, "mass")):
-            arr.flags.writeable = False
+        for field, arr in (("row_points", rp), ("col_points", cp), ("mass", mat)):
             object.__setattr__(self, field, arr)
 
     @property
@@ -149,22 +150,16 @@ class TransportInstance:
         npts = _as_points(self.nu_points, "nu_points")
         if mp.shape[1] != npts.shape[1]:
             raise ConstructionError("mu and nu atoms must share a dimension")
-        mw = np.asarray(self.mu_weights, dtype=float).ravel()
-        nw = np.asarray(self.nu_weights, dtype=float).ravel()
+        mw = _weights(self.mu_weights, "mu weights")
+        nw = _weights(self.nu_weights, "nu weights")
         for pts, w, name in ((mp, mw, "mu"), (npts, nw, "nu")):
             if w.size != pts.shape[0]:
                 raise ConstructionError(f"{name} weights do not match its atoms")
-            if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-                raise ConstructionError(f"{name} weights must be strictly positive")
-            if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-                raise ConstructionError(f"{name} weights must sum to 1 within {WEIGHT_SUM_TOL}")
         p = _order(self.p, "cost order p", error=ConstructionError)
         q = p if self.q is None else _order(self.q, "norm order q", error=ConstructionError)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        for arr, field in ((mp, "mu_points"), (mw, "mu_weights"), (npts, "nu_points"), (nw, "nu_weights")):
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+        fields = {"mu_points": mp, "mu_weights": mw, "nu_points": npts, "nu_weights": nw, "p": p, "q": q}
+        for field, value in fields.items():
+            object.__setattr__(self, field, value)
 
     @classmethod
     def from_distributions(
@@ -363,16 +358,14 @@ def enumerate_extreme_couplings(
     ``TransportInstance``. Vertex counts explode combinatorially, hence the
     hard size guard of ``MAX_ENUMERATION_SIDE`` atoms per side.
     """
-    mw = np.asarray(mu_weights, dtype=float).ravel()
-    nw = np.asarray(nu_weights, dtype=float).ravel()
-    m, n = mw.size, nw.size
+    m, n = np.size(mu_weights), np.size(nu_weights)
     if m > MAX_ENUMERATION_SIDE or n > MAX_ENUMERATION_SIDE:
         raise CapacityError(
             f"margins of size {m} x {n} exceed the guard of {MAX_ENUMERATION_SIDE}"
         )
     rp = np.arange(m, dtype=float) if row_points is None else row_points
     cp = np.arange(n, dtype=float) if col_points is None else col_points
-    instance = TransportInstance(rp, mw, cp, nw)
+    instance = TransportInstance(rp, mu_weights, cp, nu_weights)
     # Cell i * n + j enters row i's and column j's equation; the last
     # equation follows from the others and is dropped.
     margins = np.vstack([np.kron(np.eye(m), np.ones(n)), np.tile(np.eye(n), m)])[:-1]
@@ -382,8 +375,9 @@ def enumerate_extreme_couplings(
     # determinant -1, 0 or 1, and elimination keeps its entries in {0, +-1}.
     # So |det| > 0.5 separates bases from singular cell sets exactly.
     basic = np.abs(np.linalg.det(squares)) > 0.5
+    b = np.concatenate([instance.mu_weights, instance.nu_weights])
     # b is (1, M, 1): NumPy < 2 would read an (M, 1) b as a stack of 1-vectors
-    solved = np.linalg.solve(squares[basic], np.concatenate([mw, nw])[None, :-1, None])[..., 0]
+    solved = np.linalg.solve(squares[basic], b[None, :-1, None])[..., 0]
     feasible = solved.min(axis=1) >= -MASS_CLAMP_TOL
     masses = np.zeros((int(feasible.sum()), m * n))
     np.put_along_axis(masses, subsets[basic][feasible], solved[feasible].clip(min=0.0), axis=1)

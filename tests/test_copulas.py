@@ -30,11 +30,11 @@ def uniform(atoms):
     return from_atoms(atoms, [1.0 / len(atoms)] * len(atoms))
 
 
-def amh_point(u):
-    # Ali-Mikhail-Haq copula at theta = 1, uv / (u + v - uv); given point
-    # by point only, so batches of it go through the eval_point loop; the
-    # atom lattice has no zero coordinate
-    return float(u[0] * u[1] / (u[0] + u[1] - u[0] * u[1]))
+def amh(pts):
+    # Ali-Mikhail-Haq copula at theta = 1, uv / (u + v - uv): a copula that
+    # is not a built-in; the atom lattice has no zero coordinate
+    u, v = pts[:, 0], pts[:, 1]
+    return u * v / (u + v - u * v)
 
 
 def per_cell_coupling_mass(h):
@@ -114,7 +114,7 @@ class TestValidation:
         assert volume < -1e-12
 
     def test_broken_margin_detected(self):
-        squashed = CopulaFn(dim=2, eval_point=lambda u: 0.5 * min(u[0], u[1]))
+        squashed = CopulaFn(dim=2, eval_batch=lambda pts: 0.5 * pts.min(axis=1))
         report = validate_copula(squashed, 8)
         assert not report.uniform_margins.passed
 
@@ -253,18 +253,17 @@ class TestCouplingFromJoint:
     def test_non_increasing_joint_rejected(self):
         # violates the upper Frechet bound at (1/2, 1/2), so one rectangle
         # of the atom lattice gets negative mass
-        def broken(u):
-            if abs(u[0] - 0.5) < 1e-9 and abs(u[1] - 0.5) < 1e-9:
-                return 0.9
-            return min(u[0], u[1])
+        def broken(pts):
+            at_half = np.all(np.abs(pts - 0.5) < 1e-9, axis=1)
+            return np.where(at_half, 0.9, pts.min(axis=1))
 
-        fake = CopulaFn(dim=2, eval_point=broken)
+        fake = CopulaFn(dim=2, eval_batch=broken)
         h = JointCDF(fake, [uniform([0.0, 1.0]), uniform([0.0, 1.0])])
         with pytest.raises(InvalidJointError):
             coupling_from_joint(h)
 
     @pytest.mark.parametrize("margins", ["rounded-samples", "simplex-atoms"])
-    @pytest.mark.parametrize("copula", ["M", "W", "Pi", "point-only"])
+    @pytest.mark.parametrize("copula", ["M", "W", "Pi", "AMH"])
     def test_lattice_is_one_batch_call(self, monkeypatch, rng, copula, margins):
         if margins == "rounded-samples":
             # 64 samples a side, rounded so that atoms merge and ladders tie
@@ -274,8 +273,8 @@ class TestCouplingFromJoint:
             weights = [np.maximum(rng.dirichlet(np.ones(64)), 1e-9) for _ in range(2)]
             f = from_atoms(rng.normal(0.0, 1.0, 64), weights[0] / weights[0].sum())
             g = from_atoms(rng.normal(0.3, 1.2, 64), weights[1] / weights[1].sum())
-        if copula == "point-only":
-            c = CopulaFn(dim=2, eval_point=amh_point, label="AMH")
+        if copula == "AMH":
+            c = CopulaFn(dim=2, eval_batch=amh, label="AMH")
         else:
             c = built_in_copula(copula, 2)
         h = JointCDF(c, [f, g])
@@ -295,7 +294,7 @@ class TestBatchShape:
         ids=["too-short", "column", "scalar"],
     )
     def test_wrong_shape_names_the_copula(self, bad_batch):
-        c = CopulaFn(dim=2, eval_point=lambda u: float(min(u)), label="lopsided", eval_batch=bad_batch)
+        c = CopulaFn(dim=2, eval_batch=bad_batch, label="lopsided")
         with pytest.raises(DomainError, match="lopsided"):
             c.batch(np.full((3, 2), 0.5))
         h = JointCDF(c, [uniform([0.0, 1.0]), uniform([0.0, 2.0])])
@@ -305,10 +304,10 @@ class TestBatchShape:
     @pytest.mark.parametrize(
         "copula",
         [
-            CopulaFn(dim=2, eval_point=lambda u: 0.0, label="nan", eval_batch=lambda pts: pts[:, 0] * np.nan),
-            CopulaFn(dim=2, eval_point=lambda u: float("nan"), label="nan"),
+            CopulaFn(dim=2, eval_batch=lambda pts: pts[:, 0] * np.nan, label="nan"),
+            CopulaFn(dim=2, eval_batch=lambda pts: np.append(pts[1:, 0], np.nan), label="nan"),
         ],
-        ids=["batch", "point-only"],
+        ids=["batch", "last-value"],
     )
     def test_nan_value_names_the_copula(self, copula):
         with pytest.raises(DomainError, match="'nan'"):

@@ -299,6 +299,19 @@ class TestDallAglioFunctional:
         direct = transport_cost(coupling, p)
         assert relative_gap(functional, direct) <= 1e-9
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_supports_in_any_order(self, rng, p):
+        # solve_exact and the enumerator return plans in the instance's
+        # order, which need not be sorted; repeated points are allowed too
+        x, wx, y, wy = [2.0, 0.0, 1.0], [0.2, 0.3, 0.5], [0.5, -1.0], [0.6, 0.4]
+        plans = [solve_exact(TransportInstance(x, wx, y, wy, p=p)).plan]
+        plans += enumerate_extreme_couplings(wx, wy, x, y)
+        plans += enumerate_extreme_couplings([0.25] * 4, [0.25] * 4, rng.permutation(np.arange(4.0)), rng.normal(size=4))
+        plans.append(DiscreteCoupling([1.0, 0.0, 1.0], [0.5, 0.5, -1.0], rng.dirichlet(np.ones(9)).reshape(3, 3)))
+        for plan in plans:
+            direct = transport_cost(plan, p)
+            assert abs(dall_aglio_functional(plan, p) - direct) <= 1e-12 * max(1.0, direct)
+
 
 class TestComonotoneMinimality:
     def test_independence_trial_dominated(self):

@@ -16,6 +16,8 @@ from copula_ot import (
     TransportInstance,
     enumerate_extreme_couplings,
     comonotone_expectation,
+    comonotone_joint_2d,
+    coupling_from_joint,
     from_atoms,
     from_samples,
     monotone_plan_1d,
@@ -23,6 +25,7 @@ from copula_ot import (
     transport_cost,
     wasserstein_1d,
 )
+from copula_ot.distributions import WEIGHT_SUM_TOL
 from copula_ot.oracle import DUAL_CERT_TOL, HIGHS_OPTIONS
 
 from helpers import random_discrete, relative_gap
@@ -613,3 +616,17 @@ class TestDiscreteCoupling:
     def test_total_mass_checked(self):
         with pytest.raises(ConstructionError):
             DiscreteCoupling([0.0], [0.0], [[0.5]])
+
+    def test_plans_of_margins_at_the_weight_rule_edge(self):
+        # why TOTAL_MASS_TOL is looser than WEIGHT_SUM_TOL: a plan carries
+        # its margins' total plus rounding, which can cross the weight rule
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        while abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
+            w[-1] = np.nextafter(w[-1], 0.0)
+        w[-1] = np.nextafter(w[-1], 1.0)  # the smallest total the rule accepts
+        f, g = from_atoms(np.arange(4.0), w), uniform([0.0, 1.0])
+        plans = [
+            coupling_from_joint(comonotone_joint_2d(f, g)),
+            solve_exact(TransportInstance.from_distributions(f, g, 2.0)).plan,
+        ]
+        assert all(abs(float(plan.mass.sum()) - 1.0) > WEIGHT_SUM_TOL for plan in plans)
