@@ -1,21 +1,19 @@
 """Exact reference solver for discrete optimal transport at desk scale.
 
 Every closed-form distance in this package is checked against the
-transportation linear program solved here. The solver itself is HiGHS,
-called through the binding that scipy ships and ``scipy.optimize.linprog``
-wraps (``scipy.optimize._highspy._core``); what makes it an oracle is the
-certificate: each solution is verified against recovered dual potentials
-(dual feasibility everywhere, complementary slackness on the support), and
-small instances can be cross-checked by exhaustive vertex enumeration.
-Guards are hard errors, never silent truncation; the oracle must not
-approximate.
+transportation linear program solved here. What makes it an oracle is the
+certificate: each solution is verified against its dual potentials (primal
+margins, dual feasibility everywhere, complementary slackness on the
+support, duality gap), and small instances can be cross-checked by
+exhaustive vertex enumeration. Guards are hard errors, never silent
+truncation; the oracle must not approximate.
 
 On the line the paper's d = 1 result (dall'Aglio; Vallender) says the
-comonotone coupling is optimal for every p >= 1, so the simplex starts at
-the monotone staircase basis and HiGHS only has to confirm it. In higher
-dimensions that coupling is not optimal in general and the LP starts cold.
-HiGHS sees the costs scaled to a largest cost of 1, which its absolute
-tolerances need on large costs; the certificate runs on the raw costs.
+comonotone coupling is optimal for every p >= 1, so the solution is the
+monotone staircase and its potentials, built in numpy. In higher
+dimensions that coupling is not optimal in general, and HiGHS solves the
+LP from a cold start, called through the binding that scipy ships and
+``scipy.optimize.linprog`` wraps (``scipy.optimize._highspy._core``).
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ __all__ = [
 # noise and get clamped to zero.
 MASS_CLAMP_TOL = 1e-12
 
+# How far a plan's total, and each of its margins, may be from the weights.
 # Looser than WEIGHT_SUM_TOL: a plan carries its margins' total, up to 1e-12
 # off, plus rounding (1.0002e-12 seen) and HiGHS's 1e-10 feasibility slack.
 TOTAL_MASS_TOL = 1e-10
@@ -55,7 +54,7 @@ DUAL_CERT_TOL = 1e-9
 
 # solve_exact refuses instances with more atoms than this in total. The LP is
 # for desk scale: the cost and the certificate are dense m x n matrices, and
-# HiGHS's time grows with m * n variables.
+# in R^d HiGHS's time grows with m * n variables.
 LP_MAX_TOTAL_ATOMS = 128
 
 # The options of every HiGHS solve: the ones linprog(method="highs") sends
@@ -210,24 +209,77 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
 
     Instances with more than ``LP_MAX_TOTAL_ATOMS`` atoms in total raise
     ``CapacityError``; a cost that overflows double precision raises
-    ``DomainError``. On the line HiGHS starts from the comonotone staircase
-    (``_staircase_basis``); in higher dimensions it starts cold. The
-    returned plan and value are accepted only if recovered dual potentials
-    (u, v) satisfy u_i + v_j <= c_ij everywhere and meet it with equality
-    on the support of the plan, both within ``DUAL_CERT_TOL`` times the
-    largest cost (at least 1), since the potentials carry rounding on the
-    scale of the costs.
+    ``DomainError``. On the line the solution is the comonotone staircase
+    (``_staircase``); in R^d HiGHS solves the LP from a cold start. Either
+    way the plan and its dual potentials (u, v) are accepted only if the
+    plan's margins match the weights within ``TOTAL_MASS_TOL``, if
+    u_i + v_j <= c_ij holds everywhere and with equality on the support of
+    the plan, both within ``DUAL_CERT_TOL`` times the largest cost (at
+    least 1), since the potentials carry rounding on the scale of the
+    costs, and if the dual objective matches the plan's cost.
     """
-    m = instance.mu_weights.size
-    n = instance.nu_weights.size
+    m, n = instance.mu_weights.size, instance.nu_weights.size
     if m + n > LP_MAX_TOTAL_ATOMS:
         raise CapacityError(
             f"instance has {m} + {n} atoms, exceeding the guard of {LP_MAX_TOTAL_ATOMS}"
         )
     cost = instance.cost_matrix
-    largest = float(cost.max())
-    # Imported on first use: the CLI starts without scipy. This is the
-    # binding linprog(method="highs") calls. Called directly, it skips
+    mass, u, v = (_staircase if instance.mu_points.shape[1] == 1 else _highs)(instance, cost)
+    weights = np.concatenate([instance.mu_weights, instance.nu_weights])
+    miss = float(np.max(np.abs(np.concatenate([mass.sum(axis=1), mass.sum(axis=0)]) - weights)))
+    if miss > TOTAL_MASS_TOL:
+        raise CertificationError(f"the plan's margins miss the weights by {miss:.3g}")
+    plan = DiscreteCoupling(instance.mu_points, instance.nu_points, mass)
+    value = float(np.sum(plan.mass * cost))
+    slack = cost - (u[:, None] + v[None, :])
+    slack_tol = DUAL_CERT_TOL * max(1.0, float(cost.max()))
+    if float(slack.min()) < -slack_tol:
+        raise CertificationError("dual infeasibility: u_i + v_j exceeds the cost somewhere")
+    support = plan.support()
+    if support.any() and float(np.max(np.abs(slack[support]))) > slack_tol:
+        raise CertificationError("complementary slackness fails on the plan support")
+    dual = float(instance.mu_weights @ u + instance.nu_weights @ v)
+    if abs(dual - value) > max(DUAL_CERT_TOL, DUAL_CERT_TOL * abs(value)):
+        raise CertificationError("dual objective does not match the primal value")
+    return TransportSolution(value, plan, u, v)
+
+
+def _staircase(instance: TransportInstance, cost: np.ndarray):
+    """The comonotone plan of a 1-D instance and potentials that price it.
+
+    On sorted atoms this is Hoffman's north-west corner rule for Monge
+    costs. The path starts at the first pair of atoms and, at each interior
+    cumulative-weight break of either side (in merged order), steps to that
+    side's next atom: m + n - 1 cells, each carrying its piece's width; the
+    last piece ends at the mu side's own total. The path is a spanning
+    tree, so u_i + v_j = c_ij on its cells fixes the potentials. Tied
+    breaks are walked in either order, through a cell of width zero, so no
+    tie rule is needed and this is not a second ``_ladder``.
+    """
+    m, n = cost.shape
+    rows = np.argsort(instance.mu_points[:, 0], kind="stable")
+    cols = np.argsort(instance.nu_points[:, 0], kind="stable")
+    breaks = np.concatenate(
+        [np.cumsum(instance.mu_weights[rows])[:-1], np.cumsum(instance.nu_weights[cols])[:-1]]
+    )
+    order = np.argsort(breaks, kind="stable")
+    step_row = order < m - 1
+    i = rows[np.concatenate([[0], np.cumsum(step_row)])]
+    j = cols[np.concatenate([[0], np.cumsum(~step_row)])]
+    mass = np.zeros((m, n))
+    mass[i, j] = np.diff(breaks[order], prepend=0.0, append=np.sum(instance.mu_weights))
+    steps = np.diff(cost[i, j])
+    u, v = np.zeros(m), np.full(n, cost[i[0], j[0]])
+    u[rows[1:]] = np.cumsum(steps[step_row])
+    v[cols[1:]] += np.cumsum(steps[~step_row])
+    return mass, u, v
+
+
+def _highs(instance: TransportInstance, cost: np.ndarray):
+    """The plan and potentials of the LP, from HiGHS's dual simplex."""
+    m, n = cost.shape
+    # Imported on first use: the CLI and 1-D pairs run without scipy. This
+    # is the binding linprog(method="highs") calls. Called directly, it skips
     # linprog's input checks and the per-column Python loop that builds bound
     # multipliers the certificate never reads: over half of each solve.
     from scipy.optimize._highspy import _core as highs
@@ -238,11 +290,9 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
             raise CertificationError(f"HiGHS rejected the option {name} = {value!r}")
     # HiGHS sees the cost divided by the largest one. Its feasibility
     # tolerances are absolute, so on raw costs from about 2e8 some solves
-    # ended in status "Unknown", and from the staircase start more of them;
-    # scaled, none did up to the largest finite cost. Only the potentials
-    # come back scaled: the plan, the value and the certificate below use
-    # the raw costs.
-    scale = largest if largest > 0.0 else 1.0
+    # ended in status "Unknown"; scaled, none did up to the largest finite
+    # cost. Only the potentials come back scaled.
+    scale = float(cost.max()) or 1.0
     # Variable i * n + j (cell (i, j)) has a 1 in exactly two constraints:
     # row i's margin and column j's margin, m + j. Column-compressed, that
     # is two sorted row indices per column, so column k starts at 2k.
@@ -259,11 +309,6 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     )
     if loaded == highs.HighsStatus.kError:
         raise CertificationError("HiGHS rejected the transport LP")
-    # Only on the line: in R^d the staircase is not optimal, and starting
-    # from it was slower than a cold start.
-    if instance.mu_points.shape[1] == 1:
-        if solver.setBasis(_staircase_basis(instance, highs)) == highs.HighsStatus.kError:
-            raise CertificationError("HiGHS rejected the staircase basis")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -271,58 +316,11 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
             f"LP solver ended with model status {solver.modelStatusToString(status)!r}"
         )
     solution = solver.getSolution()
-
     mass = np.array(solution.col_value).reshape(m, n)
-    mass = np.where(np.abs(mass) < MASS_CLAMP_TOL, 0.0, mass)
-    plan = DiscreteCoupling(instance.mu_points, instance.nu_points, mass)
-    value = float(np.sum(plan.mass * cost))
-
+    # Negatives inside HiGHS's feasibility tolerance are noise; the margin check judges the rest.
+    mass[(mass >= -HIGHS_OPTIONS["primal_feasibility_tolerance"]) & (mass < MASS_CLAMP_TOL)] = 0.0
     potentials = np.array(solution.row_dual) * scale
-    u, v = potentials[:m], potentials[m:]
-    slack = cost - (u[:, None] + v[None, :])
-    slack_tol = DUAL_CERT_TOL * max(1.0, largest)
-    if float(slack.min()) < -slack_tol:
-        raise CertificationError("dual infeasibility: u_i + v_j exceeds the cost somewhere")
-    support = plan.support()
-    if support.any() and float(np.max(np.abs(slack[support]))) > slack_tol:
-        raise CertificationError("complementary slackness fails on the plan support")
-    if abs(float(b_eq @ potentials) - value) > max(DUAL_CERT_TOL, DUAL_CERT_TOL * abs(value)):
-        raise CertificationError("dual objective does not match the primal value")
-    return TransportSolution(value, plan, u, v)
-
-
-def _staircase_basis(instance: TransportInstance, highs):
-    """The starting basis of a 1-D transport LP: the monotone staircase.
-
-    By dall'Aglio's theorem the comonotone coupling is optimal for
-    |x - y|^p at every p >= 1, so the cells it walks through are an optimal
-    simplex basis. Each side is sorted by its coordinate; the path starts
-    at the first pair of atoms and, at each interior cumulative-weight
-    break of either side (in merged order), steps to that side's next atom:
-    m + n - 1 cells from (0, 0) to (m - 1, n - 1). Any such path is a
-    spanning tree of the supply/demand graph, and so with one slack a
-    basis, however tied breaks are ordered; no tie rule is needed. The
-    path carries no mass and no value, so this is not a second ``_ladder``:
-    HiGHS computes the basic solution and prices every column itself. The
-    slack is the last margin row, whose equality is redundant.
-    """
-    m, n = instance.mu_weights.size, instance.nu_weights.size
-    rows = np.argsort(instance.mu_points[:, 0], kind="stable")
-    cols = np.argsort(instance.nu_points[:, 0], kind="stable")
-    breaks = np.concatenate(
-        [np.cumsum(instance.mu_weights[rows])[:-1], np.cumsum(instance.nu_weights[cols])[:-1]]
-    )
-    step_row = np.argsort(breaks, kind="stable") < m - 1
-    i = np.concatenate([[0], np.cumsum(step_row)])
-    j = np.concatenate([[0], np.cumsum(~step_row)])
-    status = highs.HighsBasisStatus
-    col_status = [status.kLower] * (m * n)
-    for k in (rows[i] * n + cols[j]).tolist():
-        col_status[k] = status.kBasic
-    basis = highs.HighsBasis()
-    basis.col_status = col_status
-    basis.row_status = [status.kLower] * (m + n - 1) + [status.kBasic]
-    return basis
+    return mass, potentials[:m], potentials[m:]
 
 
 def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling:
@@ -349,9 +347,10 @@ def enumerate_extreme_couplings(
 ) -> list[DiscreteCoupling]:
     """All vertices of the transportation polytope with the given margins.
 
-    A vertex is a basic feasible solution of the margin equations that
-    ``solve_exact`` hands HiGHS: m + n - 1 cells whose margin columns are
-    independent, carrying the nonnegative masses those equations force.
+    A vertex is a basic feasible solution of the LP's margin equations (the
+    ones ``solve_exact`` hands HiGHS in R^d): m + n - 1 cells whose margin
+    columns are independent, carrying the nonnegative masses those
+    equations force; on the line the comonotone staircase is one of them.
     All cell sets are solved in one batched ``np.linalg.solve``; vertices
     come in ``itertools.combinations`` order, each once (masses rounded to
     12 decimals). Margins and points are validated as a

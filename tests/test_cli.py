@@ -612,6 +612,21 @@ class TestImportBudget:
         )
         assert self.scipy_modules_after(run) == []
 
+    def test_dist1d_inside_the_lp_guard_loads_no_scipy(self, tmp_path, rng):
+        # 30 + 30 atoms are inside the LP guard, so the oracle runs; on the
+        # line it certifies the comonotone staircase without HiGHS
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("\n".join(str(v) for v in rng.normal(size=30)) + "\n")
+        b.write_text("\n".join(str(v) for v in rng.normal(size=30)) + "\n")
+        run = (
+            "import io, json, sys\nfrom contextlib import redirect_stdout\nfrom copula_ot.cli import main\n"
+            "out = io.StringIO()\nwith redirect_stdout(out):\n"
+            f"    assert main(['dist1d', {str(a)!r}, {str(b)!r}, '--p', '2']) == 0\n"
+            "assert 'oracle_lp' in json.loads(out.getvalue())['methods']"
+        )
+        assert self.scipy_modules_after(run) == []
+
 
 class TestDeterminismAndRoundTrip:
     def test_repeated_runs_byte_identical(self, sample_files):

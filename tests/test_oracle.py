@@ -25,6 +25,7 @@ from copula_ot import (
     transport_cost,
     wasserstein_1d,
 )
+from copula_ot import oracle
 from copula_ot.distributions import WEIGHT_SUM_TOL
 from copula_ot.oracle import DUAL_CERT_TOL, HIGHS_OPTIONS
 
@@ -39,6 +40,23 @@ def drift_pair():
     """Ten weights of 0.1 sum to 0.30000000000000004 after three atoms, so
     these ladders tie at 0.3 only up to cumsum drift."""
     return uniform(np.arange(10.0)), from_atoms([2.5, 7.5], [0.3, 0.7])
+
+
+def in_the_plane(f, g, p, q=None):
+    """The pair (f, g) on the x-axis of R^2, where solve_exact calls HiGHS."""
+    return TransportInstance(
+        np.c_[f.atoms, np.zeros(f.n_atoms)], f.weights, np.c_[g.atoms, np.zeros(g.n_atoms)], g.weights, p=p, q=q
+    )
+
+
+def weight_rule_edge_pair():
+    """Four weights whose total is the smallest the weight rule accepts,
+    about 1 - 1e-12, against two uniform atoms."""
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    while abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
+        w[-1] = np.nextafter(w[-1], 0.0)
+    w[-1] = np.nextafter(w[-1], 1.0)
+    return from_atoms(np.arange(4.0), w), uniform([0.0, 1.0])
 
 
 def desk_style_pairs(rng, count):
@@ -203,12 +221,13 @@ class TestSolveExact:
             solve_exact(inst)
 
     def test_memory_budget_at_64_by_64(self, rng):
-        # a dense (m + n) x mn constraint matrix alone would be 4.2 MB here
+        # points in R^2, so HiGHS solves the LP; a dense (m + n) x mn
+        # constraint matrix alone would be 4.2 MB here
         f = random_discrete(rng, max_atoms=2)
-        solve_exact(TransportInstance.from_distributions(f, f, 2.0))  # scipy import outside the trace
-        atoms = rng.normal(size=(2, 64))
+        solve_exact(in_the_plane(f, f, 2.0))  # scipy import outside the trace
+        points = rng.normal(size=(2, 64, 2))
         w = np.full(64, 1 / 64)
-        inst = TransportInstance(atoms[0], w, atoms[1], w, p=2.0)
+        inst = TransportInstance(points[0], w, points[1], w, p=2.0)
         tracemalloc.start()
         try:
             solve_exact(inst)
@@ -274,6 +293,22 @@ class TestSolveExact:
         with pytest.raises(ConstructionError):
             TransportInstance([0.0, 1.0], [0.5, 0.4], [0.0], [1.0], p=1.0)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_margins_at_the_weight_rule_edge_certify_in_the_plane(self, q):
+        # the two totals differ by about 1e-12 and HiGHS answers with a mass
+        # of about -1.00009e-12, inside its own feasibility tolerance
+        f, g = weight_rule_edge_pair()
+        sol = solve_exact(in_the_plane(f, g, 1.0, q))
+        assert sol.value == pytest.approx(wasserstein_1d(f, g, 1.0).value_pth_power, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("scale, p", [(1e4, 2.0), (1e8, 1.0)])
+    def test_identical_spread_measures_certify_at_zero(self, scale, p):
+        # the potentials are on the scale of the costs while the value is 0,
+        # so the duality gap meets its absolute floor of 1e-9; the staircase's
+        # v is exactly -u on the diagonal, and the dual objective cancels
+        f = from_atoms(np.random.default_rng(2).normal(0.0, scale, 10), np.full(10, 0.1))
+        assert solve_exact(TransportInstance.from_distributions(f, f, p)).value == 0.0
+
     def test_floored_weights_certify(self):
         f, g = floored_weight_pair()
         sol = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
@@ -292,8 +327,7 @@ class TestSolveExact:
                 return super().setOptionValue(name, value)
 
         monkeypatch.setattr(_core, "_Highs", Recording)
-        f, g = drift_pair()
-        solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+        solve_exact(in_the_plane(*drift_pair(), 2.0))
         assert seen == list(HIGHS_OPTIONS.items())
         assert HIGHS_OPTIONS == {
             "output_flag": False,
@@ -303,41 +337,32 @@ class TestSolveExact:
             "dual_feasibility_tolerance": 1e-10,
         }
 
-    def test_line_starts_at_the_staircase_and_rd_starts_cold(self, monkeypatch):
-        # On the line the comonotone staircase is optimal, so HiGHS makes no
-        # simplex iteration from it; in R^d it is not, and no basis is passed.
+    def test_only_rd_instances_reach_highs(self, monkeypatch):
+        # on the line the comonotone staircase is the optimum, so no solver
+        # is made; in R^d each solve makes one
         from scipy.optimize._highspy import _core
 
-        iterations, bases = [], []
+        made = []
 
-        class Recording(_core._Highs):
-            def setBasis(self, *args):
-                bases.append(args)
-                return super().setBasis(*args)
+        class Counting(_core._Highs):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
 
-            def run(self):
-                status = super().run()
-                iterations.append(self.getInfo().simplex_iteration_count)
-                return status
-
-        monkeypatch.setattr(_core, "_Highs", Recording)
+        monkeypatch.setattr(_core, "_Highs", Counting)
         rng = np.random.default_rng(4)
         for f, g in desk_style_pairs(rng, 5):
-            # the atoms in sorted order and shuffled: the staircase sorts them
-            pi, sigma = rng.permutation(f.n_atoms), rng.permutation(g.n_atoms)
             for p in (1.0, 2.0, 3.0):
                 solve_exact(TransportInstance.from_distributions(f, g, p))
-                solve_exact(TransportInstance(f.atoms[pi], f.weights[pi], g.atoms[sigma], g.weights[sigma], p=p))
-        assert len(bases) == len(iterations) == 60
-        assert iterations == [0] * 60
-        bases.clear()
-        for inst in row_instances(rng):
+        assert made == []
+        instances = row_instances(rng)
+        for inst in instances:
             solve_exact(inst)
-        assert bases == []
+        assert len(made) == len(instances)
 
     def test_unsorted_points_with_repeats_certify(self, rng):
         # TransportInstance takes 1-D points in any order, repeats included;
-        # the staircase sorts them, so the start stays a basis
+        # the staircase sorts them, so its path stays monotone
         x = np.array([3.0, -1.0, 3.0, 0.5, -1.0, 2.0])
         y = np.array([0.0, 4.0, -2.0, 0.0, 1.5])
         wx, wy = rng.dirichlet(np.ones(x.size)), rng.dirichlet(np.ones(y.size))
@@ -350,8 +375,7 @@ class TestSolveExact:
     @pytest.mark.parametrize(
         "method, message",
         [("setOptionValue", "HiGHS rejected the option output_flag = False"),
-         ("passModel", "HiGHS rejected the transport LP"),
-         ("setBasis", "HiGHS rejected the staircase basis")],
+         ("passModel", "HiGHS rejected the transport LP")],
     )
     def test_rejected_option_or_model_is_named(self, monkeypatch, method, message):
         # without the check a rejected model solves as an empty one
@@ -359,9 +383,8 @@ class TestSolveExact:
 
         rejecting = type("Rejecting", (_core._Highs,), {method: lambda self, *args: _core.HighsStatus.kError})
         monkeypatch.setattr(_core, "_Highs", rejecting)
-        f, g = drift_pair()
         with pytest.raises(CertificationError, match=f"^{message}$"):
-            solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+            solve_exact(in_the_plane(*drift_pair(), 2.0))
 
     def test_desk_style_pairs_certify(self):
         for f, g in desk_style_pairs(np.random.default_rng(12), 30):
@@ -371,9 +394,10 @@ class TestSolveExact:
 
     def test_agrees_with_cold_linprog(self):
         # An independent reference: linprog with HiGHS's cold start and raw
-        # costs. The staircase start and the cost scaling take another
-        # vertex path, so values agree to rounding, not bitwise, and plans
-        # are compared where the optimum is unique (p = 2 on the line).
+        # costs. The staircase on the line and the cost scaling in R^d reach
+        # the optimum another way, so values agree to rounding, not bitwise,
+        # and plans are compared where the optimum is unique (p = 2 on the
+        # line).
         from scipy import sparse
         from scipy.optimize import linprog
 
@@ -425,9 +449,8 @@ class TestSolveExact:
         from scipy.optimize._highspy import _core
 
         rng = np.random.default_rng(0)
-        inst = TransportInstance.from_distributions(
-            uniform(rng.normal(0.0, 1e4, 30)), uniform(rng.normal(0.0, 1e4, 30)), p=2.0
-        )
+        w = np.full(30, 1 / 30)
+        inst = TransportInstance(rng.normal(0.0, 1e4, (30, 2)), w, rng.normal(0.0, 1e4, (30, 2)), w, p=2.0)
         shift = np.array([1.0, -1.0]) * 1e-6
 
         class Shifted(_core._Highs):
@@ -441,6 +464,49 @@ class TestSolveExact:
         monkeypatch.setattr(_core, "_Highs", Shifted)
         with pytest.raises(CertificationError, match="dual infeasibility|complementary slackness"):
             solve_exact(inst)
+
+    def test_shifted_line_potential_fails_the_certificate(self, monkeypatch):
+        # the same shift, on the staircase's potentials
+        rng = np.random.default_rng(0)
+        inst = TransportInstance.from_distributions(
+            uniform(rng.normal(0.0, 1e4, 30)), uniform(rng.normal(0.0, 1e4, 30)), p=2.0
+        )
+        staircase = oracle._staircase
+
+        def shifted(instance, cost):
+            mass, u, v = staircase(instance, cost)
+            u[:2] += np.array([1.0, -1.0]) * 1e-6 * cost.max()
+            return mass, u, v
+
+        monkeypatch.setattr(oracle, "_staircase", shifted)
+        with pytest.raises(CertificationError, match="dual infeasibility|complementary slackness"):
+            solve_exact(inst)
+
+    def test_moved_line_mass_fails_the_margin_check(self, monkeypatch):
+        # 1e-6 moved within one row keeps the row margins and the total, so
+        # only the column margins can tell
+        f, g = drift_pair()
+        staircase = oracle._staircase
+
+        def moved(instance, cost):
+            mass, u, v = staircase(instance, cost)
+            mass[0, 0] -= 1e-6
+            mass[0, 1] += 1e-6
+            return mass, u, v
+
+        monkeypatch.setattr(oracle, "_staircase", moved)
+        with pytest.raises(CertificationError, match="^the plan's margins miss the weights by 1e-06$"):
+            solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+
+    def test_shuffled_line_sweep_matches_the_quantile_formula(self):
+        # 300 desk-style pairs, atoms in random order, at four orders
+        rng = np.random.default_rng(17)
+        for f, g in desk_style_pairs(rng, 150):
+            pi, sigma = rng.permutation(f.n_atoms), rng.permutation(g.n_atoms)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                inst = TransportInstance(f.atoms[pi], f.weights[pi], g.atoms[sigma], g.weights[sigma], p=p)
+                exact = wasserstein_1d(f, g, p).value_pth_power
+                assert solve_exact(inst).value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestEnumerateExtremeCouplings:
@@ -620,13 +686,9 @@ class TestDiscreteCoupling:
     def test_plans_of_margins_at_the_weight_rule_edge(self):
         # why TOTAL_MASS_TOL is looser than WEIGHT_SUM_TOL: a plan carries
         # its margins' total plus rounding, which can cross the weight rule
-        w = np.array([0.1, 0.2, 0.3, 0.4])
-        while abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
-            w[-1] = np.nextafter(w[-1], 0.0)
-        w[-1] = np.nextafter(w[-1], 1.0)  # the smallest total the rule accepts
-        f, g = from_atoms(np.arange(4.0), w), uniform([0.0, 1.0])
+        f, g = weight_rule_edge_pair()
         plans = [
             coupling_from_joint(comonotone_joint_2d(f, g)),
-            solve_exact(TransportInstance.from_distributions(f, g, 2.0)).plan,
+            solve_exact(in_the_plane(f, g, 1.0)).plan,
         ]
         assert all(abs(float(plan.mass.sum()) - 1.0) > WEIGHT_SUM_TOL for plan in plans)
