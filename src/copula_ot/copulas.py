@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import Distribution1D
 from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
-from .oracle import DiscreteCoupling
+from .oracle import TOTAL_MASS_TOL, DiscreteCoupling
 
 __all__ = [
     "CopulaFn",
@@ -37,8 +37,6 @@ __all__ = [
 # Inclusion-exclusion over 2^d box corners cancels catastrophically right at
 # zero volume; anything above -AXIOM_TOL counts as nonnegative.
 AXIOM_TOL = 1e-12
-
-MARGIN_RESTORE_TOL = 1e-10
 
 # Grid boxes scale as resolution^dim with 2^dim corners each.
 MAX_VALIDATION_DIM = 10
@@ -179,7 +177,8 @@ def validate_copula(c: CopulaFn, grid_resolution: int | None = None) -> Validati
 
     The lattice has ``grid_resolution`` boxes per axis. Box volumes are
     computed by d-fold finite differencing of the lattice values, which is
-    the inclusion-exclusion sum over the 2^d corners of each box.
+    the inclusion-exclusion sum over the 2^d corners of each box. All three
+    checks read one ``batch`` call: the ticks end at 1, so margins are lines.
     """
     if c.dim > MAX_VALIDATION_DIM:
         raise CapacityError(f"validation guard: dim {c.dim} > {MAX_VALIDATION_DIM}")
@@ -197,7 +196,7 @@ def validate_copula(c: CopulaFn, grid_resolution: int | None = None) -> Validati
     values = c.batch(points).reshape((resolution + 1,) * c.dim)
 
     grounded = _check_grounded(points, values.ravel())
-    margins = _check_margins(c, ticks)
+    margins = _check_margins(values, ticks)
     increasing = _check_increasing(values, ticks)
     return ValidationReport(
         dim=c.dim,
@@ -220,19 +219,18 @@ def _check_grounded(points: np.ndarray, values: np.ndarray) -> AxiomCheck:
     return AxiomCheck("grounded", worst <= AXIOM_TOL, worst, tuple(witnesses))
 
 
-def _check_margins(c: CopulaFn, ticks: np.ndarray) -> AxiomCheck:
+def _check_margins(values: np.ndarray, ticks: np.ndarray) -> AxiomCheck:
     worst = 0.0
     witnesses = []
-    for axis in range(c.dim):
-        pts = np.ones((ticks.size, c.dim))
-        pts[:, axis] = ticks
-        deviation = np.abs(c.batch(pts) - ticks)
+    for axis in range(values.ndim):
+        deviation = np.abs(np.moveaxis(values, axis, -1)[(-1,) * (values.ndim - 1)] - ticks)
         axis_worst = float(deviation.max())
         if axis_worst > worst:
             worst = axis_worst
         if axis_worst > AXIOM_TOL:
             bad = int(np.argmax(deviation))
-            witnesses.append((tuple(pts[bad]), float(deviation[bad])))
+            point = np.where(np.arange(values.ndim) == axis, ticks[bad], 1.0)
+            witnesses.append((tuple(point), float(deviation[bad])))
     return AxiomCheck("uniform_margins", worst <= AXIOM_TOL, worst, tuple(witnesses[:5]))
 
 
@@ -305,9 +303,10 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
     obtained by inclusion-exclusion of H on the atom lattice. At the atoms
     the margin CDFs are the cumulative-weight ladders, so the lattice is
     one ``batch`` call of the copula on their grid. Tiny negative volumes
-    (from floating cancellation) are clamped to zero and rows are rescaled
-    to restore the first margin exactly; a materially negative volume means
-    h was not 2-increasing over these margins.
+    (from floating cancellation) are clamped to zero; a materially negative
+    volume means h was not 2-increasing over these margins. Both margins must
+    match the weights within ``TOTAL_MASS_TOL``, and nonempty rows are then
+    rescaled to the first margin exactly.
     """
     if h.dim != 2:
         raise DomainError("coupling extraction needs a 2-dimensional joint")
@@ -328,9 +327,9 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
         )
     volumes = np.where(volumes < 0.0, 0.0, volumes)
     row_sums = volumes.sum(axis=1)
-    if np.any(row_sums <= 0.0):
+    if float(np.max(np.abs(row_sums - f.weights))) > TOTAL_MASS_TOL:
         raise InvalidJointError("joint does not reproduce its first margin")
-    volumes = volumes * (f.weights / row_sums)[:, None]
-    if float(np.max(np.abs(volumes.sum(axis=0) - g.weights))) > MARGIN_RESTORE_TOL:
+    volumes *= np.divide(f.weights, row_sums, out=np.ones(xs.size), where=row_sums > 0)[:, None]
+    if float(np.max(np.abs(volumes.sum(axis=0) - g.weights))) > TOTAL_MASS_TOL:
         raise InvalidJointError("joint does not reproduce its second margin")
     return DiscreteCoupling(xs, ys, volumes)

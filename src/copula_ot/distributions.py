@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 # Cumulative sums of floating weights drift near exact ladder boundaries;
-# without this slack the generalized inverse would skip an atom there. It is
-# the only tie rule: quantiles and the merged ladder below both apply it.
+# without this slack a caller's u there would skip an atom. Only quantile and
+# quantile_many apply it; the merged ladder reads the measures' own breaks.
 QUANTILE_TIE_TOL = 1e-12
 
 # Absolute tolerance on the total weight at construction time.
@@ -93,14 +93,12 @@ def _ladder(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, np.ndarray]:
     Splits (0, 1] at every margin's cumulative weights. On each piece every
     quantile function is constant, so the law of (F_1^{-1}(U), ...,
     F_d^{-1}(U)) puts the piece's length on one atom per margin. Returns
-    (idx, widths): ``idx[k, m]`` is margin m's atom index on piece k, read at
-    the piece midpoint, and ``widths[k]`` is the piece length in u.
+    (idx, widths): ``idx[k, m]`` is margin m's atom index on piece k, read
+    exactly at its right end, and ``widths[k]`` is the piece length in u.
     """
-    breaks = np.unique(np.concatenate([m.cumulative_weights for m in margins]))
-    breaks = np.concatenate(([0.0], breaks))
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    idx = np.stack([_atom_index(m.cumulative_weights, mids) for m in margins], axis=1)
-    return idx, np.diff(breaks)
+    ends = np.unique(np.concatenate([m.cumulative_weights for m in margins]))
+    idx = np.stack([np.searchsorted(m.cumulative_weights, ends) for m in margins], axis=1)
+    return idx, np.diff(ends, prepend=0.0)
 
 
 @dataclass(frozen=True)
@@ -165,10 +163,11 @@ class Distribution1D:
 
     @cached_property
     def cumulative_weights(self) -> np.ndarray:
-        """Cumulative weight ladder; last entry pinned to exactly 1.0."""
+        """Cumulative weights, capped at 1 so they stay sorted; the last is exactly 1.0."""
         if self.weights is None:
             raise DomainError("parametric measure has no weight ladder")
         cum = np.cumsum(self.weights)
+        np.minimum(cum, 1.0, out=cum)
         cum[-1] = 1.0
         cum.flags.writeable = False
         return cum

@@ -167,6 +167,19 @@ class TestDist1d:
         assert "oracle_lp" in payload["methods"]
         assert payload["max_method_disagreement"] <= payload["tolerance"]
 
+    def test_certificate_of_a_value_small_against_its_costs(self, capsys, tmp_path):
+        # W_2^2 is 1e-6 while the costs reach about 1e9: the duality gap is
+        # judged on the scale of the costs, like the slack checks
+        x = np.random.default_rng(0).normal(0.0, 1e4, 10)
+        a = tmp_path / "spread.csv"
+        b = tmp_path / "shifted.csv"
+        np.savetxt(a, x)
+        np.savetxt(b, x + 1e-3)
+        code, out, err = run_cli(capsys, "dist1d", str(a), str(b), "--p", "2")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["methods"]["oracle_lp"] == pytest.approx(payload["w_p_pow_p"], rel=1e-12, abs=0.0)
+
     def test_oracle_omitted_beyond_guard(self, capsys, tmp_path, rng):
         a = tmp_path / "big_a.csv"
         b = tmp_path / "big_b.csv"

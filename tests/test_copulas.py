@@ -126,6 +126,21 @@ class TestValidation:
         with pytest.raises(DomainError):
             validate_copula(comonotonicity_copula(2), 1)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("label, scale", [("M", 1.0), ("W", 1.0), ("Pi", 1.0), ("M", 0.9)])
+    def test_lattice_is_one_batch_call(self, label, scale, dim):
+        # the margins are lines of the lattice, since its ticks end at 1
+        calls = []
+        base = built_in_copula(label, dim)
+
+        def counted(pts):
+            calls.append(pts.shape)
+            return scale * base.eval_batch(pts)
+
+        report = validate_copula(CopulaFn(dim=dim, eval_batch=counted), 4)
+        assert calls == [(5**dim, dim)]
+        assert report.uniform_margins.passed == (scale == 1.0)
+
     def test_default_resolutions(self):
         assert validate_copula(comonotonicity_copula(2)).resolution == 16
         assert validate_copula(comonotonicity_copula(4)).resolution == 6
@@ -261,6 +276,23 @@ class TestCouplingFromJoint:
         h = JointCDF(fake, [uniform([0.0, 1.0]), uniform([0.0, 1.0])])
         with pytest.raises(InvalidJointError):
             coupling_from_joint(h)
+
+    def test_joint_without_uniform_margins_rejected(self):
+        # 0.9 M puts total mass 0.9 on the lattice; the rows are checked
+        # against f's weights before they are rescaled to them
+        scaled = CopulaFn(dim=2, eval_batch=lambda pts: 0.9 * pts.min(axis=1))
+        f = from_atoms([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+        g = from_atoms([0.0, 5.0], [0.6, 0.4])
+        with pytest.raises(InvalidJointError, match="first margin"):
+            coupling_from_joint(JointCDF(scaled, [f, g]))
+
+    @pytest.mark.parametrize("eps", [1e-17, 1e-20])
+    def test_absorbed_weight_leaves_an_empty_row(self, eps):
+        # 0.5 + eps == 0.5, so min(F, G) gives the middle atom no volume
+        f = from_atoms([0.0, 1.0, 2.0], [0.5, eps, 0.5])
+        g = from_atoms([0.2, 1.7], [0.5, 0.5])
+        plan = coupling_from_joint(comonotone_joint_2d(f, g))
+        assert plan.mass.tolist() == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.5]]
 
     @pytest.mark.parametrize("margins", ["rounded-samples", "simplex-atoms"])
     @pytest.mark.parametrize("copula", ["M", "W", "Pi", "AMH"])

@@ -194,6 +194,16 @@ class TestW1CdfArea:
         assert area == float(np.sum(np.diff(grid) * gaps))
 
 
+    def test_unequal_sample_sizes_agree(self):
+        # 2000 and 1500 samples: the two ladders share every 4th/3rd break
+        # only up to cumsum drift, and each piece is read at its exact end
+        rng = np.random.default_rng(0)
+        f = from_samples(rng.normal(0.0, 1.0, 2000))
+        g = from_samples(rng.normal(0.3, 1.2, 1500))
+        area = w1_cdf_area(f, g).value
+        assert abs(area - wasserstein_1d(f, g, 1.0).value) <= 1e-15 * area
+
+
 class TestComonotoneExpectation:
     def test_normalization(self, rng):
         f = random_discrete(rng)

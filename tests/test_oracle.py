@@ -27,7 +27,7 @@ from copula_ot import (
 )
 from copula_ot import oracle
 from copula_ot.distributions import WEIGHT_SUM_TOL
-from copula_ot.oracle import DUAL_CERT_TOL, HIGHS_OPTIONS
+from copula_ot.oracle import DUAL_CERT_TOL, HIGHS_OPTIONS, TOTAL_MASS_TOL
 
 from helpers import random_discrete, relative_gap
 
@@ -303,16 +303,40 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("scale, p", [(1e4, 2.0), (1e8, 1.0)])
     def test_identical_spread_measures_certify_at_zero(self, scale, p):
-        # the potentials are on the scale of the costs while the value is 0,
-        # so the duality gap meets its absolute floor of 1e-9; the staircase's
-        # v is exactly -u on the diagonal, and the dual objective cancels
+        # the potentials are on the scale of the costs while the value is 0;
+        # the staircase's v is exactly -u on the diagonal, and the dual
+        # objective cancels
         f = from_atoms(np.random.default_rng(2).normal(0.0, scale, 10), np.full(10, 0.1))
         assert solve_exact(TransportInstance.from_distributions(f, f, p)).value == 0.0
+
+    @pytest.mark.parametrize("scale, shift", [(1e4, 1e-3), (1e8, 1e-4)])
+    def test_values_small_against_their_costs_certify(self, scale, shift):
+        # the dual objective sums potentials on the scale of the costs (up to
+        # about 1e9 and 1e17 here), so its rounding exceeds 1e-9 of values of
+        # 1e-6 and 1e-8; the gap is judged on the scale of the slack checks
+        w = np.full(10, 0.1)
+        for seed in range(6):
+            x = np.random.default_rng(seed).normal(0.0, scale, 10)
+            exact = wasserstein_1d(from_atoms(x, w), from_atoms(x + shift, w), 2.0).value_pth_power
+            line = TransportInstance(x, w, x + shift, w, p=2.0)
+            plane = TransportInstance(np.c_[x, 0 * x], w, np.c_[x + shift, 0 * x], w, p=2.0)
+            for inst in (line, plane):
+                assert solve_exact(inst).value == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_floored_weights_certify(self):
         f, g = floored_weight_pair()
         sol = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
         assert sol.value == pytest.approx(wasserstein_1d(f, g, 2.0).value_pth_power, rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-17, 1e-20])
+    def test_absorbed_weight_certifies(self, eps):
+        # 0.5 + eps == 0.5: the running sum absorbs the middle weight, so the
+        # ladder has no piece for it while the staircase still walks its cell
+        f = from_atoms([0.0, 1.0, 2.0], [0.5, eps, 0.5])
+        g = from_atoms([0.2, 1.7], [0.5, 0.5])
+        for p in (1.0, 2.0):
+            lp = solve_exact(TransportInstance.from_distributions(f, g, p)).value
+            assert lp == pytest.approx(wasserstein_1d(f, g, p).value_pth_power, rel=1e-12, abs=0.0)
 
     def test_highs_options_are_pinned(self, monkeypatch):
         # presolve off, dual simplex, and feasibility tolerances tighter than
@@ -650,6 +674,31 @@ class TestMonotonePlan:
                 )
                 for value in closed_forms:
                     assert value == pytest.approx(lp, rel=1e-9, abs=1e-9)
+
+    def test_piece_below_the_tie_tolerance_is_exact(self):
+        # a real piece of width 4e-13 lies inside QUANTILE_TIE_TOL of a break;
+        # read at its right end it still gets its own cell
+        f = from_atoms([0.0, 1.0], [0.5 + 4e-13, 0.5 - 4e-13])
+        g = from_atoms([0.0, 1.0], [0.5, 0.5])
+        report = wasserstein_1d(f, g, 2.0)
+        lp = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+        assert report.value_pth_power == lp.value > 0.0
+        assert report.error_bound == 0.0
+        plan = monotone_plan_1d(f, g)
+        assert np.array_equal(plan.row_weights, f.weights)
+        assert np.array_equal(plan.col_weights, g.weights)
+        assert np.array_equal(plan.mass, lp.plan.mass)
+
+    def test_weights_summing_past_one_keep_the_ladder_sorted(self):
+        # the weights sum to 1 + 5e-13, and the running sum passes 1 before
+        # the last atom; the ladder is capped at 1, so every read stays on it
+        f = from_atoms([0.0, 1.0, 2.0], [0.5 + 4e-13, 0.5, 1e-13])
+        g = from_atoms([0.0, 1.0], [0.5, 0.5])
+        assert np.all(np.diff(f.cumulative_weights) >= 0.0) and f.cumulative_weights[-1] == 1.0
+        plan = monotone_plan_1d(f, g)
+        assert np.max(np.abs(plan.row_weights - f.weights)) <= TOTAL_MASS_TOL
+        assert np.array_equal(plan.col_weights, g.weights)
+        assert wasserstein_1d(f, g, 2.0).value_pth_power == transport_cost(plan, 2.0)
 
     def test_agrees_with_joint_cdf_extraction(self, rng):
         # the ladder merge and the inclusion-exclusion of min(F, G) are two

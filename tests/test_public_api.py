@@ -2,7 +2,8 @@
 
 ``perfbench/`` calls the package through its namespace and wraps some of
 its functions and methods by name, so deleting or renaming one of them
-breaks the benchmark. These tests run its desk op under its tracer.
+breaks the benchmark. These tests run its desk op under its tracer, and
+its CLI op through the check that its CLI workloads apply.
 """
 
 import importlib
@@ -49,3 +50,14 @@ def test_desk_op_runs_under_the_tracer(monkeypatch):
     assert metrics["copulas.comonotone_joint_2d.calls"] == 1.0
     assert metrics["oracle.solve_exact.calls"] == 2.0
     assert all(metrics[f"{layer}.{func}.errors"] == 0 for layer, _, func in tracer.SPANNED)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_cli_op_passes_its_check(monkeypatch, tmp_path, p):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+
+    job = workloads.make_cli_inputs(7, 3000, p, tmp_path)
+    code, stdout = worker.cli_op(job["argv"])
+    assert workloads.check_cli_output(code, stdout, job["reference"], None) is None
