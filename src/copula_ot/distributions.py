@@ -175,7 +175,10 @@ class Distribution1D:
     # -- the two fundamental maps -------------------------------------------
 
     def cdf(self, x: float) -> float:
-        """P(X <= x); right-continuous, 0 below the support and 1 above it."""
+        """P(X <= x); right-continuous, 0 below the support and 1 above it.
+
+        A NaN from a parametric evaluator raises ``DomainError`` naming x.
+        """
         x = float(x)
         if math.isnan(x):
             raise DomainError("cdf requires a real argument")
@@ -185,6 +188,8 @@ class Distribution1D:
                 return 0.0
             return float(self.cumulative_weights[idx - 1])
         value = float(self.cdf_fn(x))  # type: ignore[misc]
+        if math.isnan(value):
+            raise DomainError(f"cdf evaluator returned nan at x = {x!r}")
         return min(1.0, max(0.0, value))
 
     def quantile(self, u: float) -> float:
@@ -193,14 +198,18 @@ class Distribution1D:
         On discrete measures this is the smallest atom whose cumulative
         weight reaches ``u`` within ``QUANTILE_TIE_TOL``; it is
         nondecreasing and left-continuous. Parametric evaluators may return
-        ``inf`` at u == 1 when the support is unbounded above.
+        ``inf`` at u == 1 when the support is unbounded above; a NaN from
+        them raises ``DomainError`` naming u.
         """
         u = float(u)
         if not 0.0 < u <= 1.0:
             raise DomainError(f"quantile requires u in (0, 1], got {u}")
         if self.atoms is not None:
             return float(self.atoms[_atom_index(self.cumulative_weights, u)])
-        return float(self.quantile_fn(u))  # type: ignore[misc]
+        value = float(self.quantile_fn(u))  # type: ignore[misc]
+        if math.isnan(value):
+            raise DomainError(f"quantile evaluator returned nan at u = {u!r}")
+        return value
 
     def quantile_many(self, u: Sequence[float] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`quantile`; same domain checks per entry."""
@@ -209,7 +218,7 @@ class Distribution1D:
             raise DomainError("quantile requires u in (0, 1]")
         if self.atoms is not None:
             return self.atoms[_atom_index(self.cumulative_weights, arr)]
-        return np.array([float(self.quantile_fn(v)) for v in arr])  # type: ignore[misc]
+        return np.array([self.quantile(v) for v in arr])
 
     # -- moments -------------------------------------------------------------
 
@@ -284,10 +293,15 @@ def _quad_checked(fn, lo: float, hi: float, *, what: str, breaks=()) -> tuple[fl
 
 
 def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
-    """Empirical measure: weight 1/n per sample, duplicates merged."""
+    """Empirical measure: weight 1/n per sample, duplicates merged.
+
+    The weights are the steps of the integer-count ladder k/n, each rung
+    rounded once, so their running sum stays on it instead of drifting by
+    one rounding per atom.
+    """
     arr = np.asarray(samples, dtype=float).ravel()
     atoms, counts = np.unique(arr, return_counts=True)
-    return Distribution1D(atoms=atoms, weights=counts / arr.size)
+    return Distribution1D(atoms=atoms, weights=np.diff(np.cumsum(counts) / arr.size, prepend=0.0))
 
 
 def from_atoms(

@@ -11,9 +11,9 @@ truncation; the oracle must not approximate.
 On the line the paper's d = 1 result (dall'Aglio; Vallender) says the
 comonotone coupling is optimal for every p >= 1, so the solution is the
 monotone staircase and its potentials, built in numpy. In higher
-dimensions that coupling is not optimal in general, and HiGHS solves the
-LP from a cold start, called through the binding that scipy ships and
-``scipy.optimize.linprog`` wraps (``scipy.optimize._highspy._core``).
+dimensions that coupling is not optimal in general, and HiGHS's dual
+simplex solves the LP from a cold start through
+``scipy.optimize.linprog(method="highs-ds")``.
 """
 
 from __future__ import annotations
@@ -57,17 +57,13 @@ DUAL_CERT_TOL = 1e-9
 # in R^d HiGHS's time grows with m * n variables.
 LP_MAX_TOTAL_ATOMS = 128
 
-# The options of every HiGHS solve: the ones linprog(method="highs") sends
-# for presolve off and both feasibility tolerances at 1e-10. HiGHS's default
-# feasibility tolerances (1e-7) are looser than the certificate; at those,
-# floored 1e-9 weights fail it. Presolve is off: a transportation LP has no
-# row or column to remove (only one redundant equality), so it cost about a
-# third of each solve for nothing. The certificate checks the result either
-# way.
+# The linprog options of every HiGHS solve. HiGHS's default feasibility
+# tolerances (1e-7) are looser than the certificate; at those, floored 1e-9
+# weights fail it. Presolve is off: a transportation LP has no row or column
+# to remove (only one redundant equality), so it cost about a third of each
+# solve for nothing. The certificate checks the result either way.
 HIGHS_OPTIONS = {
-    "output_flag": False,
-    "presolve": "off",
-    "simplex_strategy": 1,  # dual simplex
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
@@ -278,16 +274,10 @@ def _staircase(instance: TransportInstance, cost: np.ndarray):
 def _highs(instance: TransportInstance, cost: np.ndarray):
     """The plan and potentials of the LP, from HiGHS's dual simplex."""
     m, n = cost.shape
-    # Imported on first use: the CLI and 1-D pairs run without scipy. This
-    # is the binding linprog(method="highs") calls. Called directly, it skips
-    # linprog's input checks and the per-column Python loop that builds bound
-    # multipliers the certificate never reads: over half of each solve.
-    from scipy.optimize._highspy import _core as highs
+    # Imported on first use: the CLI and 1-D pairs run without scipy.
+    from scipy import sparse
+    from scipy.optimize import linprog
 
-    solver = highs._Highs()
-    for name, value in HIGHS_OPTIONS.items():
-        if solver.setOptionValue(name, value) == highs.HighsStatus.kError:
-            raise CertificationError(f"HiGHS rejected the option {name} = {value!r}")
     # HiGHS sees the cost divided by the largest one. Its feasibility
     # tolerances are absolute, so on raw costs from about 2e8 some solves
     # ended in status "Unknown"; scaled, none did up to the largest finite
@@ -297,29 +287,18 @@ def _highs(instance: TransportInstance, cost: np.ndarray):
     # row i's margin and column j's margin, m + j. Column-compressed, that
     # is two sorted row indices per column, so column k starts at 2k.
     i, j = np.divmod(np.arange(m * n, dtype=np.int32), n)
-    b_eq = np.concatenate([instance.mu_weights, instance.nu_weights])
-    loaded = solver.passModel(
-        m * n, m + n, 2 * m * n,
-        highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-        cost.ravel() / scale, np.zeros(m * n), np.full(m * n, np.inf), b_eq, b_eq,
-        np.arange(0, 2 * m * n, 2, dtype=np.int32),
-        np.stack([i, m + j], axis=1).ravel(),
-        np.ones(2 * m * n),
-        np.zeros(m * n, dtype=np.int32),  # all continuous; HiGHS rejects an empty array
+    a_eq = sparse.csc_array(
+        (np.ones(2 * m * n), np.stack([i, m + j], axis=1).ravel(), np.arange(0, 2 * m * n + 1, 2, dtype=np.int32)),
+        shape=(m + n, m * n),
     )
-    if loaded == highs.HighsStatus.kError:
-        raise CertificationError("HiGHS rejected the transport LP")
-    solver.run()
-    status = solver.getModelStatus()
-    if status != highs.HighsModelStatus.kOptimal:
-        raise CertificationError(
-            f"LP solver ended with model status {solver.modelStatusToString(status)!r}"
-        )
-    solution = solver.getSolution()
-    mass = np.array(solution.col_value).reshape(m, n)
+    b_eq = np.concatenate([instance.mu_weights, instance.nu_weights])
+    res = linprog(cost.ravel() / scale, A_eq=a_eq, b_eq=b_eq, method="highs-ds", options=HIGHS_OPTIONS)
+    if not res.success:
+        raise CertificationError(res.message)
+    mass = res.x.reshape(m, n)
     # Negatives inside HiGHS's feasibility tolerance are noise; the margin check judges the rest.
     mass[(mass >= -HIGHS_OPTIONS["primal_feasibility_tolerance"]) & (mass < MASS_CLAMP_TOL)] = 0.0
-    potentials = np.array(solution.row_dual) * scale
+    potentials = res.eqlin.marginals * scale
     return mass, potentials[:m], potentials[m:]
 
 

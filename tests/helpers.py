@@ -1,6 +1,7 @@
 """Shared corpus builders for the test suite."""
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Sequence
@@ -8,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 import copula_ot
-from copula_ot import Distribution1D, DomainError, from_atoms
+from copula_ot import Distribution1D, DomainError, from_atoms, from_quantile
 from copula_ot.distributions import _ladder
 
 # Environment for CLI subprocesses: they import copula_ot from where this
@@ -37,6 +38,15 @@ def random_discrete(
     else:
         weights = np.array([1.0])
     return from_atoms(atoms, weights)
+
+
+def uniform_with_nan_hole() -> Distribution1D:
+    """U(0, 1) whose CDF and quantile evaluators return NaN on (0.4, 0.6)."""
+
+    def holed(t, value):
+        return math.nan if 0.4 < t < 0.6 else value
+
+    return from_quantile(lambda u: holed(u, u), lambda x: holed(x, min(1.0, max(0.0, x))), math.inf)
 
 
 def relative_gap(a: float, b: float) -> float:

@@ -28,7 +28,7 @@ from copula_ot import (
     wasserstein_shared_copula,
 )
 
-from helpers import comonotone_support, random_discrete, relative_gap
+from helpers import comonotone_support, random_discrete, relative_gap, uniform_with_nan_hole
 
 
 def uniform(atoms):
@@ -164,6 +164,28 @@ class TestWasserstein1D:
         lp = solve_exact(TransportInstance.from_distributions(f, g, p)).value
         assert relative_gap(closed, lp) <= 1e-9
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_empirical_ladder_stays_on_k_over_n(self, p):
+        # 1e5 samples a side: weights of 1/n summed one by one would drift
+        # from k/n and put the value 3.7e-10 to 3.4e-8 off the sorted-sample
+        # mean
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=100_000), np.exp(1.5 * rng.normal(size=100_000))
+        exact = float(np.mean(np.abs(np.sort(a) - np.sort(b)) ** p))
+        value = wasserstein_1d(from_samples(a), from_samples(b), p).value_pth_power
+        assert value == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_unequal_sample_sizes_match_the_exact_merge(self, p):
+        # 60,000 against 40,000 samples: on the 120,000-piece grid of their
+        # least common multiple each sorted sample repeats 2 and 3 times
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=60_000), np.exp(1.5 * rng.normal(size=40_000))
+        k = np.arange(120_000)
+        exact = float(np.mean(np.abs(np.sort(a)[k // 2] - np.sort(b)[k // 3]) ** p))
+        value = wasserstein_1d(from_samples(a), from_samples(b), p).value_pth_power
+        assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
 class TestW1CdfArea:
     def test_identical(self, rng):
@@ -202,6 +224,19 @@ class TestW1CdfArea:
         g = from_samples(rng.normal(0.3, 1.2, 1500))
         area = w1_cdf_area(f, g).value
         assert abs(area - wasserstein_1d(f, g, 1.0).value) <= 1e-15 * area
+
+
+class TestNanEvaluators:
+    # read as a CDF of 0, the NaN hole would give w1_cdf_area 0.1 against
+    # U(0, 1), with error_bound 1.1e-16, where the true value is 0
+    def test_w1_cdf_area(self):
+        u01 = from_quantile(lambda u: u, lambda x: min(1.0, max(0.0, x)), math.inf)
+        with pytest.raises(DomainError, match="^cdf evaluator returned nan at x = "):
+            w1_cdf_area(uniform_with_nan_hole(), u01)
+
+    def test_wasserstein_1d(self):
+        with pytest.raises(DomainError, match="^quantile evaluator returned nan at u = "):
+            wasserstein_1d(uniform_with_nan_hole(), from_samples([0.0, 1.0]), 1.0)
 
 
 class TestComonotoneExpectation:

@@ -18,7 +18,7 @@ from copula_ot import (
 )
 from copula_ot.distributions import QUANTILE_TIE_TOL
 
-from helpers import random_discrete
+from helpers import random_discrete, uniform_with_nan_hole
 
 
 @st.composite
@@ -203,6 +203,34 @@ class TestQuantile:
         for k in range(1, 11):
             assert d.quantile(k * 0.1) == float(k - 1)
         assert QUANTILE_TIE_TOL == 1e-12
+
+
+class TestNanEvaluators:
+    def test_cdf_names_x(self):
+        with pytest.raises(DomainError, match=r"^cdf evaluator returned nan at x = 0\.5$"):
+            uniform_with_nan_hole().cdf(0.5)
+
+    def test_quantile_names_u(self):
+        with pytest.raises(DomainError, match=r"^quantile evaluator returned nan at u = 0\.5$"):
+            uniform_with_nan_hole().quantile(0.5)
+
+    def test_quantile_many_goes_through_quantile(self):
+        with pytest.raises(DomainError, match=r"^quantile evaluator returned nan at u = 0\.5$"):
+            uniform_with_nan_hole().quantile_many([0.25, 0.5])
+
+    def test_p_moment(self):
+        with pytest.raises(DomainError, match="quantile evaluator returned nan at u = "):
+            uniform_with_nan_hole().p_moment(2.0)
+
+    def test_infinite_ends_stay_allowed(self):
+        unbounded = from_quantile(
+            lambda u: math.inf if u == 1.0 else u / (1.0 - u),
+            lambda x: -math.inf if x < 0.0 else x / (1.0 + x),
+            math.inf,
+        )
+        assert unbounded.quantile(1.0) == math.inf
+        assert unbounded.quantile_many([0.5, 1.0]).tolist() == [1.0, math.inf]
+        assert unbounded.cdf(-1.0) == 0.0
 
 
 class TestPMoment:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from copula_ot import (
 )
 from copula_ot import oracle
 from copula_ot.distributions import WEIGHT_SUM_TOL
-from copula_ot.oracle import DUAL_CERT_TOL, HIGHS_OPTIONS, TOTAL_MASS_TOL
+from copula_ot.oracle import DUAL_CERT_TOL, TOTAL_MASS_TOL
 
 from helpers import random_discrete, relative_gap
 
@@ -339,27 +340,29 @@ class TestSolveExact:
             assert lp == pytest.approx(wasserstein_1d(f, g, p).value_pth_power, rel=1e-12, abs=0.0)
 
     def test_highs_options_are_pinned(self, monkeypatch):
-        # presolve off, dual simplex, and feasibility tolerances tighter than
-        # the certificate, set once each on the solver that solve_exact makes
+        # presolve off, dual simplex, quiet, and feasibility tolerances
+        # tighter than the certificate, as the solver solve_exact makes
+        # receives them once; an option linprog dropped would arrive at its
+        # default
         from scipy.optimize._highspy import _core
 
-        seen = []
-
-        class Recording(_core._Highs):
-            def setOptionValue(self, name, value):
-                seen.append((name, value))
-                return super().setOptionValue(name, value)
-
-        monkeypatch.setattr(_core, "_Highs", Recording)
-        solve_exact(in_the_plane(*drift_pair(), 2.0))
-        assert seen == list(HIGHS_OPTIONS.items())
-        assert HIGHS_OPTIONS == {
+        pinned = {
             "output_flag": False,
             "presolve": "off",
-            "simplex_strategy": 1,
+            "simplex_strategy": 1,  # dual simplex
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,
         }
+        seen = []
+
+        class Recording(_core._Highs):
+            def passOptions(self, options):
+                seen.append({name: getattr(options, name) for name in pinned})
+                return super().passOptions(options)
+
+        monkeypatch.setattr(_core, "_Highs", Recording)
+        solve_exact(in_the_plane(*drift_pair(), 2.0))
+        assert seen == [pinned]
 
     def test_only_rd_instances_reach_highs(self, monkeypatch):
         # on the line the comonotone staircase is the optimum, so no solver
@@ -398,16 +401,18 @@ class TestSolveExact:
 
     @pytest.mark.parametrize(
         "method, message",
-        [("setOptionValue", "HiGHS rejected the option output_flag = False"),
-         ("passModel", "HiGHS rejected the transport LP")],
+        [("passOptions", "(HiGHS Status 0: Not Set)"),
+         ("passModel", "(HiGHS Status 2: Model error)")],
+        ids=["passOptions", "passModel"],
     )
     def test_rejected_option_or_model_is_named(self, monkeypatch, method, message):
-        # without the check a rejected model solves as an empty one
+        # a rejected option set or model returns no solution; the failure is
+        # a CertificationError carrying linprog's message
         from scipy.optimize._highspy import _core
 
         rejecting = type("Rejecting", (_core._Highs,), {method: lambda self, *args: _core.HighsStatus.kError})
         monkeypatch.setattr(_core, "_Highs", rejecting)
-        with pytest.raises(CertificationError, match=f"^{message}$"):
+        with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
             solve_exact(in_the_plane(*drift_pair(), 2.0))
 
     def test_desk_style_pairs_certify(self):
@@ -437,6 +442,10 @@ class TestSolveExact:
                 g = from_atoms(rng.normal(0.3, 1.2, n), rng.dirichlet(np.ones(n)))
             instances.append(TransportInstance.from_distributions(f, g, 1.0 + k % 2))
         instances += row_instances(rng)
+        # 64 + 64 rows in R^3: the largest R^d instance the LP guard admits
+        instances.append(TransportInstance(
+            rng.normal(size=(64, 3)), rng.dirichlet(np.ones(64)), rng.normal(size=(64, 3)), np.full(64, 1 / 64), p=2.0
+        ))
         for inst in instances:
             m, n = inst.mu_weights.size, inst.nu_weights.size
             cost = inst.cost_matrix
