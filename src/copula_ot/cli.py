@@ -390,11 +390,7 @@ def emit(payload: dict, fmt: str) -> None:
 
 
 def _positive_order(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    return _order(value, "order", error=argparse.ArgumentTypeError)
+    return _order(text, "order", error=argparse.ArgumentTypeError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,10 +93,10 @@ def _require_moment(dist: Distribution1D, p: float) -> None:
 def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceReport:
     """W_p via the quantile integral of |F^{-1}(u) - G^{-1}(u)|^p over (0, 1).
 
-    Exact for discrete pairs: the integrand is a step function over the
-    merged cumulative-weight ladder. Other pairs go through adaptive
-    quadrature on (QUAD_EPS, 1 - QUAD_EPS), split where a discrete margin
-    jumps, with the quadrature estimate reported in ``error_bound``.
+    Exact for discrete pairs: the integrand is a step function along their
+    comonotone path. Other pairs go through adaptive quadrature on
+    (QUAD_EPS, 1 - QUAD_EPS), split where a discrete margin jumps, with the
+    quadrature estimate reported in ``error_bound``.
     """
     p = _order(p, "Wasserstein order p")
     _require_moment(f, p)
@@ -136,7 +136,7 @@ def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
 
     Exact for discrete pairs, where |F - G| is piecewise constant over the
     merged atom grid. This works on the x-axis, independently of the
-    u-axis ladder behind :func:`wasserstein_1d`.
+    u-axis comonotone path behind :func:`wasserstein_1d`.
     """
     _require_moment(f, 1.0)
     _require_moment(g, 1.0)

@@ -33,7 +33,7 @@ __all__ = [
 
 # Cumulative sums of floating weights drift near exact ladder boundaries;
 # without this slack a caller's u there would skip an atom. Only quantile and
-# quantile_many apply it; the merged ladder reads the measures' own breaks.
+# quantile_many apply it; the comonotone path reads the measures' own rungs.
 QUANTILE_TIE_TOL = 1e-12
 
 # Absolute tolerance on the total weight at construction time.
@@ -44,10 +44,19 @@ WEIGHT_SUM_TOL = 1e-12
 QUAD_EPS = 1e-9
 
 
-def _owned(values) -> np.ndarray:
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as a float array, copied only if it is not one, or a
+    ``ConstructionError`` naming ``name`` if it is ragged or not real."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConstructionError(f"{name} must be real numbers: {exc}") from None
+
+
+def _owned(values, name: str) -> np.ndarray:
     """A read-only float copy of ``values``: every stored input array is one,
     so no caller's array, or view of one, can change a checked object."""
-    arr = np.array(values, dtype=float)
+    arr = _reals(values, name).copy()
     arr.flags.writeable = False
     return arr
 
@@ -55,7 +64,7 @@ def _owned(values) -> np.ndarray:
 def _weights(values, name: str) -> np.ndarray:
     """The one weight rule: an owned flat copy of ``values`` if every weight is
     finite and strictly positive and they sum to 1 within ``WEIGHT_SUM_TOL``."""
-    w = _owned(values).ravel()
+    w = _owned(values, name).ravel()
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise ConstructionError(f"{name} must be finite and strictly positive")
     total = float(np.sum(w))
@@ -80,25 +89,28 @@ def _order(
 ) -> float:
     """The one check on distance, moment and tail orders: ``value`` as a
     float, or ``error`` unless it is finite and >= ``low`` (> when strict)."""
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a real number, got {value!r}") from None
     if not (math.isfinite(value) and (value > low if strict else value >= low)):
         bound = ">" if strict else ">="
         raise error(f"{name} must be finite and {bound} {low:g}, got {value!r}")
     return value
 
 
-def _ladder(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, np.ndarray]:
-    """The merged cumulative-weight ladder of discrete margins.
-
-    Splits (0, 1] at every margin's cumulative weights. On each piece every
-    quantile function is constant, so the law of (F_1^{-1}(U), ...,
-    F_d^{-1}(U)) puts the piece's length on one atom per margin. Returns
-    (idx, widths): ``idx[k, m]`` is margin m's atom index on piece k, read
-    exactly at its right end, and ``widths[k]`` is the piece length in u.
-    """
-    ends = np.unique(np.concatenate([m.cumulative_weights for m in margins]))
-    idx = np.stack([np.searchsorted(m.cumulative_weights, ends) for m in margins], axis=1)
-    return idx, np.diff(ends, prepend=0.0)
+def _comonotone_path(cum_a: np.ndarray, cum_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law of (F^{-1}(U), G^{-1}(U)) for m and n sorted atoms with running
+    weight sums ``cum_a`` and ``cum_b``, by Hoffman's north-west corner walk:
+    the interior rungs, capped at 1, merge stably (a's first on a tie), and
+    at each the walk steps to that side's next atom. Returns (i, j, widths):
+    m + n - 1 cells, each with its u-length, the last ending at exactly 1; a
+    tie gives a cell of width zero."""
+    ends = np.minimum(np.concatenate([[0.0], cum_a[:-1], cum_b[:-1], [1.0]]), 1.0)
+    # cell k's row counts a's among the first k merged rungs; stable sorts merge two runs in O(m + n)
+    i = np.cumsum(np.append(False, np.argsort(ends[1:-1], kind="stable") < cum_a.size - 1), dtype=np.int32)
+    ends[1:-1].sort(kind="stable")
+    return i, np.arange(i.size, dtype=np.int32) - i, np.diff(ends)
 
 
 @dataclass(frozen=True)
@@ -140,7 +152,7 @@ class Distribution1D:
             raise ConstructionError("p_moment_order must be >= 1")
         if self.atoms is None:
             return
-        atoms = _owned(self.atoms)
+        atoms = _owned(self.atoms, "atoms")
         weights = _weights(self.weights, "weights")
         if atoms.ndim != 1 or weights.shape != atoms.shape:
             raise ConstructionError("a discrete measure needs at least one atom, each with a weight")
@@ -163,7 +175,7 @@ class Distribution1D:
 
     @cached_property
     def cumulative_weights(self) -> np.ndarray:
-        """Cumulative weights, capped at 1 so they stay sorted; the last is exactly 1.0."""
+        """Running weight sums, the comonotone path's rungs: capped at 1 to stay sorted, the last 1.0."""
         if self.weights is None:
             raise DomainError("parametric measure has no weight ladder")
         cum = np.cumsum(self.weights)
@@ -244,17 +256,18 @@ def _comonotone_integral(
     """(value, abserr) of the integral of integrand(F_1^{-1}(u), ...,
     F_d^{-1}(u)) over (0, 1): the expectation under the comonotone joint.
 
-    When every margin is discrete the integrand is a step function on the
-    merged ladder, so it is called once on arrays of the pieces' atoms and
-    the sum is exact. Otherwise it is called on numpy floats, so that
+    Discrete margins come in pairs: the integrand is called once, on the
+    atoms of the cells of positive width on their comonotone path, and the
+    sum is exact. Otherwise it is called on numpy floats, so that
     ``np.errstate`` covers its arithmetic, by quadrature on (QUAD_EPS,
-    1 - QUAD_EPS), split at the discrete margins' cumulative weights, where
-    the integrand jumps.
+    1 - QUAD_EPS), split at the discrete margins' cumulative weights.
     """
     if all(m.is_discrete for m in margins):
-        idx, widths = _ladder(margins)
-        values = integrand(*(m.atoms[idx[:, k]] for k, m in enumerate(margins)))
-        return float(np.sum(widths * values)), 0.0
+        f, g = margins
+        i, j, widths = _comonotone_path(f.cumulative_weights, g.cumulative_weights)
+        keep = widths > 0.0
+        i, j, widths = i[keep], j[keep], widths[keep]
+        return float(np.sum(widths * integrand(f.atoms[i], g.atoms[j]))), 0.0
     return _quad_checked(
         lambda u: integrand(*(np.float64(m.quantile(u)) for m in margins)),
         QUAD_EPS,
@@ -299,7 +312,9 @@ def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
     rounded once, so their running sum stays on it instead of drifting by
     one rounding per atom.
     """
-    arr = np.asarray(samples, dtype=float).ravel()
+    arr = _reals(samples, "samples").ravel()
+    if not arr.size:
+        raise ConstructionError("from_samples needs at least one sample")
     atoms, counts = np.unique(arr, return_counts=True)
     return Distribution1D(atoms=atoms, weights=np.diff(np.cumsum(counts) / arr.size, prepend=0.0))
 
@@ -314,7 +329,7 @@ def from_atoms(
     step function with strictly increasing jump locations. The weights meet
     the weight rule before the merge; the measure checks the rest.
     """
-    a = np.asarray(atoms, dtype=float).ravel()
+    a = _reals(atoms, "atoms").ravel()
     w = _weights(weights, "weights")
     if a.shape != w.shape:
         raise ConstructionError("atoms and weights must have matching lengths")

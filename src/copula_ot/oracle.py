@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, _ladder, _order, _owned, _weights
+from .distributions import Distribution1D, _comonotone_path, _order, _owned, _reals, _weights
 from .errors import (
     CapacityError,
     CertificationError,
@@ -74,7 +74,7 @@ MAX_ENUMERATION_SIDE = 4
 
 def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
     """Coerce scalars / flat lists / (k, d) arrays into an owned (k, d) float array."""
-    arr = _owned(points)
+    arr = _owned(points, name)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -95,7 +95,7 @@ class DiscreteCoupling:
     def __post_init__(self) -> None:
         rp = _as_points(self.row_points, "row_points")
         cp = _as_points(self.col_points, "col_points")
-        mat = np.asarray(self.mass, dtype=float)
+        mat = _reals(self.mass, "mass")
         if mat.shape != (rp.shape[0], cp.shape[0]):
             raise ConstructionError(
                 f"mass shape {mat.shape} does not match supports "
@@ -105,7 +105,7 @@ class DiscreteCoupling:
             raise ConstructionError("row and column supports must share a dimension")
         if not np.all(np.isfinite(mat)) or np.any(mat < -MASS_CLAMP_TOL):
             raise ConstructionError("coupling mass must be finite and not materially negative")
-        mat = _owned(np.where(mat < 0.0, 0.0, mat))
+        mat = _owned(np.where(mat < 0.0, 0.0, mat), "mass")
         total = float(mat.sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
             raise ConstructionError(f"total mass is {total!r}, expected 1")
@@ -244,28 +244,18 @@ def _staircase(instance: TransportInstance, cost: np.ndarray):
     """The comonotone plan of a 1-D instance and potentials that price it.
 
     On sorted atoms this is Hoffman's north-west corner rule for Monge
-    costs. The path starts at the first pair of atoms and, at each interior
-    cumulative-weight break of either side (in merged order), steps to that
-    side's next atom: m + n - 1 cells, each carrying its piece's width; the
-    last piece ends at the mu side's own total. The path is a spanning
-    tree, so u_i + v_j = c_ij on its cells fixes the potentials. Tied
-    breaks are walked in either order, through a cell of width zero;
-    ``_ladder`` would merge them and drop absorbed weights.
+    costs: the ``_comonotone_path`` of the two sides' running weight sums.
+    Its m + n - 1 cells, with a tied rung's cell of width zero, form a
+    spanning tree, so u_i + v_j = c_ij on them fixes the potentials.
     """
-    m, n = cost.shape
     rows = np.argsort(instance.mu_points[:, 0], kind="stable")
     cols = np.argsort(instance.nu_points[:, 0], kind="stable")
-    breaks = np.concatenate(
-        [np.cumsum(instance.mu_weights[rows])[:-1], np.cumsum(instance.nu_weights[cols])[:-1]]
-    )
-    order = np.argsort(breaks, kind="stable")
-    step_row = order < m - 1
-    i = rows[np.concatenate([[0], np.cumsum(step_row)])]
-    j = cols[np.concatenate([[0], np.cumsum(~step_row)])]
-    mass = np.zeros((m, n))
-    mass[i, j] = np.diff(breaks[order], prepend=0.0, append=np.sum(instance.mu_weights))
-    steps = np.diff(cost[i, j])
-    u, v = np.zeros(m), np.full(n, cost[i[0], j[0]])
+    i, j, widths = _comonotone_path(np.cumsum(instance.mu_weights[rows]), np.cumsum(instance.nu_weights[cols]))
+    mass = np.zeros(cost.shape)
+    mass[rows[i], cols[j]] = widths
+    steps = np.diff(cost[rows[i], cols[j]])
+    step_row = i[1:] != i[:-1]
+    u, v = np.zeros(rows.size), np.full(cols.size, cost[rows[0], cols[0]])
     u[rows[1:]] = np.cumsum(steps[step_row])
     v[cols[1:]] += np.cumsum(steps[~step_row])
     return mass, u, v
@@ -303,17 +293,15 @@ def _highs(instance: TransportInstance, cost: np.ndarray):
 
 
 def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling:
-    """Comonotone coupling of two discrete measures on R.
-
-    Puts each piece of the merged cumulative-weight ladder on the atom pair
-    the two quantile functions take there; distinct pieces fill distinct
-    cells. This realizes the joint law of (F^{-1}(U), G^{-1}(U)).
+    """Comonotone coupling of two discrete measures on R, the joint law of
+    (F^{-1}(U), G^{-1}(U)): each cell of their ``_comonotone_path`` carries
+    its width. It is bitwise the plan ``solve_exact`` certifies for them.
     """
     if not (mu.is_discrete and nu.is_discrete):
         raise DomainError("monotone_plan_1d needs discrete measures")
-    idx, widths = _ladder((mu, nu))
+    i, j, widths = _comonotone_path(mu.cumulative_weights, nu.cumulative_weights)
     mass = np.zeros((mu.n_atoms, nu.n_atoms))
-    mass[idx[:, 0], idx[:, 1]] = widths
+    mass[i, j] = widths
     return DiscreteCoupling(mu.atoms, nu.atoms, mass)
 
 

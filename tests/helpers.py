@@ -10,7 +10,6 @@ import numpy as np
 
 import copula_ot
 from copula_ot import Distribution1D, DomainError, from_atoms, from_quantile
-from copula_ot.distributions import _ladder
 
 # Environment for CLI subprocesses: they import copula_ot from where this
 # interpreter found it, so the tests run without installing the package.
@@ -66,15 +65,17 @@ def comonotone_support(margins: Sequence[Distribution1D]) -> tuple[np.ndarray, n
     """Discrete comonotone joint of several discrete margins.
 
     Merges every margin's cumulative-weight ladder into shared breakpoints
-    and maps each piece to the quantile vector on it. Returns
+    and maps each piece to the quantile vector on it: the atom whose
+    cumulative weight first reaches the piece's right end. Returns
     (points, weights) with points of shape (k, d); the joint's copula is M
-    by construction.
+    by construction. Built here from ``np.unique`` and ``np.searchsorted``
+    alone, independently of the library's comonotone walk.
     """
     margins = tuple(margins)
     if not margins:
         raise DomainError("need at least one margin")
     if not all(m.is_discrete for m in margins):
         raise DomainError("comonotone support needs discrete margins")
-    idx, widths = _ladder(margins)
-    points = np.stack([m.atoms[idx[:, k]] for k, m in enumerate(margins)], axis=1)
-    return points, widths
+    ends = np.unique(np.concatenate([m.cumulative_weights for m in margins]))
+    points = np.stack([m.atoms[np.searchsorted(m.cumulative_weights, ends)] for m in margins], axis=1)
+    return points, np.diff(ends, prepend=0.0)

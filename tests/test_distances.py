@@ -1,6 +1,7 @@
 """Tests for every distance representation and their agreement contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,28 @@ class TestWasserstein1D:
         value = wasserstein_1d(from_samples(a), from_samples(b), p).value_pth_power
         assert value == pytest.approx(exact, rel=1e-11, abs=0.0)
 
+    def test_tie_cells_are_never_evaluated(self):
+        # equal ladders tie at 0.5; the zero-width cell there pairs 1e200
+        # with 0, whose cost overflows, and must not reach the sum
+        d = from_atoms([0.0, 1e200], [0.5, 0.5])
+        assert wasserstein_1d(d, d, 2.0).value_pth_power == 0.0
+
+    @pytest.mark.parametrize("m, n", [(200_000, 200_000), (200_000, 150_000)])
+    def test_discrete_kernel_memory_budget(self, m, n):
+        # the comonotone walk allocates a few arrays per atom; an equal-size
+        # pair has 2n - 1 cells, n - 1 of them ties, which a copy of every
+        # cell before the width-zero mask would carry into the integrand
+        rng = np.random.default_rng(0)
+        f, g = from_samples(rng.normal(size=m)), from_samples(rng.normal(0.3, 1.2, size=n))
+        f.cumulative_weights, g.cumulative_weights  # the measures' own, cached
+        tracemalloc.start()
+        try:
+            wasserstein_1d(f, g, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * (m + n)
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_unequal_sample_sizes_match_the_exact_merge(self, p):
         # 60,000 against 40,000 samples: on the 120,000-piece grid of their
@@ -257,6 +280,13 @@ class TestComonotoneExpectation:
             expected = wasserstein_1d(f, g, p).value_pth_power
             got = comonotone_expectation(lambda x, y: abs(x - y) ** p, f, g)
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    def test_called_on_the_cells_of_positive_width_only(self):
+        # the ladders tie at 0.5: the path's cell of width zero there, on
+        # atoms (1, 0), is no point of the comonotone law
+        seen = []
+        comonotone_expectation(lambda x, y: seen.append((x, y)) or 0.0, uniform([0.0, 1.0]), uniform([0.0, 2.0]))
+        assert seen == [(0.0, 0.0), (1.0, 2.0)]
 
 
 class TestMixedPairs:

@@ -9,12 +9,15 @@ from hypothesis import example, given, strategies as st
 
 from copula_ot import (
     ConstructionError,
+    DiscreteCoupling,
     Distribution1D,
     DomainError,
+    TransportInstance,
     from_atoms,
     from_quantile,
     from_samples,
     tail_decay_diagnostic,
+    wasserstein_1d,
 )
 from copula_ot.distributions import QUANTILE_TIE_TOL
 
@@ -54,7 +57,7 @@ class TestConstruction:
         assert np.allclose(d.weights, [1 / 3, 2 / 3])
 
     def test_from_samples_rejects_empty(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="at least one sample"):
             from_samples([])
 
     def test_from_samples_rejects_non_finite(self):
@@ -94,6 +97,31 @@ class TestConstruction:
     def test_discrete_invariants_owned_by_the_measure(self, atoms, weights):
         with pytest.raises(ConstructionError):
             Distribution1D(atoms=atoms, weights=weights)
+
+    @pytest.mark.parametrize(
+        "call, error, name",
+        [
+            (lambda: from_atoms(["a"], [1.0]), ConstructionError, "atoms"),
+            (lambda: from_atoms([1j], [1.0]), ConstructionError, "atoms"),
+            (lambda: from_atoms([0.0, 1.0], [[0.5], [0.25, 0.25]]), ConstructionError, "weights"),
+            (lambda: from_samples(["x"]), ConstructionError, "samples"),
+            (lambda: Distribution1D(atoms=[[0.0, 1.0], [2.0]], weights=[0.5, 0.5]), ConstructionError, "atoms"),
+            (lambda: Distribution1D(atoms=[1j], weights=[1.0]), ConstructionError, "atoms"),
+            (lambda: TransportInstance([[0.0, 1.0], [2.0]], [0.5, 0.5], [0.0], [1.0]), ConstructionError, "mu_points"),
+            (lambda: DiscreteCoupling([[0.0, 1.0], [2.0]], [0.0], [[0.5], [0.5]]), ConstructionError, "row_points"),
+            (lambda: DiscreteCoupling([0.0, 1.0], [0.0], [[0.5], [0.25, 0.25]]), ConstructionError, "mass"),
+            (lambda: wasserstein_1d(from_samples([0.0]), from_samples([1.0]), "x"), DomainError, "order p"),
+        ],
+        ids=[
+            "from_atoms-string", "from_atoms-complex", "from_atoms-ragged-weights", "from_samples-string",
+            "Distribution1D-ragged", "Distribution1D-complex", "TransportInstance-ragged",
+            "DiscreteCoupling-ragged-points", "DiscreteCoupling-ragged-mass", "wasserstein_1d-string-order",
+        ],
+    )
+    def test_malformed_input_is_a_typed_error_naming_it(self, call, error, name):
+        # numpy's own ValueError or TypeError would carry no input name
+        with pytest.raises(error, match=name):
+            call()
 
     def test_direct_discrete_construction(self):
         d = Distribution1D(atoms=[1.0, 2.0], weights=[0.25, 0.75])

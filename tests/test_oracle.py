@@ -707,10 +707,24 @@ class TestMonotonePlan:
         plan = monotone_plan_1d(f, g)
         assert np.max(np.abs(plan.row_weights - f.weights)) <= TOTAL_MASS_TOL
         assert np.array_equal(plan.col_weights, g.weights)
-        assert wasserstein_1d(f, g, 2.0).value_pth_power == transport_cost(plan, 2.0)
+        # every route ends the coupling at exactly 1, so the atom that the
+        # capped ladder absorbs gets no mass on any of them
+        for p in (1.0, 2.0):
+            lp = solve_exact(TransportInstance.from_distributions(f, g, p))
+            assert wasserstein_1d(f, g, p).value_pth_power == transport_cost(plan, p) == lp.value
+            assert np.array_equal(plan.mass, lp.plan.mass)
+        assert lp.value == 4.000133557724439e-13
+
+    def test_equals_the_certified_plan_bitwise(self):
+        # 300 desk-style pairs, half with ladder ties: one walk builds both plans
+        for f, g in desk_style_pairs(np.random.default_rng(17), 150):
+            plan = monotone_plan_1d(f, g)
+            lp = solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+            assert np.array_equal(plan.mass, lp.plan.mass)
+            assert transport_cost(plan, 2.0) == lp.value
 
     def test_agrees_with_joint_cdf_extraction(self, rng):
-        # the ladder merge and the inclusion-exclusion of min(F, G) are two
+        # the comonotone walk and the inclusion-exclusion of min(F, G) are two
         # routes to the same coupling
         from copula_ot import comonotone_joint_2d, coupling_from_joint
 
