@@ -7,7 +7,7 @@ repeated runs on the same inputs are byte-identical, and JSON floats use
 shortest round-trip printing.
 
 Exit codes: 0 success, 1 cross-method disagreement beyond tolerance,
-2 input error, 3 missing hypothesis flag, 4 capacity guard exceeded.
+3 missing hypothesis flag, 4 capacity guard exceeded, 2 any other error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .copulas import built_in_copula, validate_copula
 from .distances import w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
 from .distributions import _order, from_samples, tail_decay_diagnostic
-from .errors import CapacityError, CopulaOTError, DomainError
+from .errors import CapacityError, CopulaOTError
 from .oracle import (
     TransportInstance,
     enumerate_extreme_couplings,
@@ -267,17 +267,12 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
             payload["max_method_disagreement"] = gap
         if gap > tolerance:
             code = EXIT_DISAGREEMENT
-    if code == EXIT_DISAGREEMENT:
-        notices.append(CONTRADICTED_HYPOTHESIS)
+            notices.append(CONTRADICTED_HYPOTHESIS)
     return code, payload
 
 
 def cmd_check_copula(args: argparse.Namespace) -> tuple[int, dict]:
-    try:
-        copula = built_in_copula(args.label, args.dim)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
-    report = validate_copula(copula, args.resolution)
+    report = validate_copula(built_in_copula(args.label, args.dim), args.resolution)
     payload = {
         "command": "check-copula",
         "label": args.label,
@@ -337,10 +332,7 @@ def cmd_diagnose_tails(args: argparse.Namespace) -> tuple[int, dict]:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError:
         raise InputError(f"--grid must be comma-separated reals, got {args.grid!r}") from None
-    try:
-        rows = tail_decay_diagnostic(dist, args.r, grid)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    rows = tail_decay_diagnostic(dist, args.r, grid)
     payload = {
         "command": "diagnose-tails",
         "inputs": [args.file],
@@ -456,15 +448,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.run(args)
-    except MissingHypothesis as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_HYPOTHESIS
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except CopulaOTError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, MissingHypothesis):
+            return EXIT_MISSING_HYPOTHESIS
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_INPUT
     emit(payload, args.format)
     return code
 

@@ -44,13 +44,16 @@ WEIGHT_SUM_TOL = 1e-12
 QUAD_EPS = 1e-9
 
 
-def _reals(values, name: str) -> np.ndarray:
-    """``values`` as a float array, copied only if it is not one, or a
-    ``ConstructionError`` naming ``name`` if it is ragged or not real."""
+def _reals(values, name: str, error: type[Exception] = ConstructionError) -> np.ndarray:
+    """``values`` as a float array, copied only if it is not one, or
+    ``error`` naming ``name`` if it is ragged, complex or not numeric."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
+            raise TypeError(f"got {arr.dtype} values")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
-        raise ConstructionError(f"{name} must be real numbers: {exc}") from None
+        raise error(f"{name} must be real numbers: {exc}") from None
 
 
 def _owned(values, name: str) -> np.ndarray:
@@ -148,8 +151,10 @@ class Distribution1D:
                 "a measure needs exactly one backing: (atoms, weights) or "
                 "(cdf_fn, quantile_fn)"
             )
-        if not self.p_moment_order >= 1.0:
-            raise ConstructionError("p_moment_order must be >= 1")
+        order = self.p_moment_order
+        if order != math.inf:  # the one order that may be infinite: every moment exists
+            order = _order(order, "p_moment_order", error=ConstructionError)
+        object.__setattr__(self, "p_moment_order", order)
         if self.atoms is None:
             return
         atoms = _owned(self.atoms, "atoms")
@@ -189,11 +194,15 @@ class Distribution1D:
     def cdf(self, x: float) -> float:
         """P(X <= x); right-continuous, 0 below the support and 1 above it.
 
-        A NaN from a parametric evaluator raises ``DomainError`` naming x.
+        A NaN or non-numeric x, or a NaN from a parametric evaluator, raises
+        ``DomainError`` naming x.
         """
-        x = float(x)
+        try:
+            x = float(x)
+        except (TypeError, ValueError):
+            raise DomainError(f"cdf requires a real argument x, got {x!r}") from None
         if math.isnan(x):
-            raise DomainError("cdf requires a real argument")
+            raise DomainError("cdf requires a real argument x, got nan")
         if self.atoms is not None:
             idx = int(np.searchsorted(self.atoms, x, side="right"))
             if idx == 0:
@@ -213,7 +222,10 @@ class Distribution1D:
         ``inf`` at u == 1 when the support is unbounded above; a NaN from
         them raises ``DomainError`` naming u.
         """
-        u = float(u)
+        try:
+            u = float(u)
+        except (TypeError, ValueError):
+            raise DomainError(f"quantile requires u in (0, 1], got {u!r}") from None
         if not 0.0 < u <= 1.0:
             raise DomainError(f"quantile requires u in (0, 1], got {u}")
         if self.atoms is not None:
@@ -225,7 +237,7 @@ class Distribution1D:
 
     def quantile_many(self, u: Sequence[float] | np.ndarray) -> np.ndarray:
         """Vectorized :meth:`quantile`; same domain checks per entry."""
-        arr = np.asarray(u, dtype=float)
+        arr = _reals(u, "quantile u", error=DomainError)
         if not np.all((arr > 0.0) & (arr <= 1.0)):
             raise DomainError("quantile requires u in (0, 1]")
         if self.atoms is not None:
@@ -351,7 +363,7 @@ def from_quantile(
     return Distribution1D(
         cdf_fn=cdf_fn,
         quantile_fn=quantile_fn,
-        p_moment_order=float(p_moment_order),
+        p_moment_order=p_moment_order,
         tail_moment_bound=tail_moment_bound,
     )
 
@@ -372,7 +384,7 @@ def tail_decay_diagnostic(
     raises ``DomainError``.
     """
     r = _order(r, "tail order r", low=0.0, strict=True)
-    g = np.asarray(grid, dtype=float).ravel()
+    g = _reals(grid, "grid", error=DomainError).ravel()
     if not np.all(np.isfinite(g)):
         raise DomainError(f"grid values must be finite, got {float(g[~np.isfinite(g)][0])!r}")
     if g.size and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):

@@ -69,6 +69,17 @@ class TestCsvIngestion:
         with pytest.raises(InputError):
             read_csv_columns(str(path))
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compression_suffix_is_plain_text(self, capsys, tmp_path, sample_files, suffix):
+        # read through an open handle, so numpy picks no decompressor by name
+        plain, named = tmp_path / "plain.csv", tmp_path / f"named{suffix}"
+        for path in (plain, named):
+            path.write_text("x\n0\n1\n")
+        assert read_csv_columns(str(named)).tolist() == [[0.0], [1.0]]
+        runs = [run_cli(capsys, "dist1d", str(path), sample_files[1]) for path in (plain, named)]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[1][1] == runs[0][1].replace(str(plain), str(named))
+
     def test_missing_file(self):
         with pytest.raises(InputError):
             read_csv_columns("/nonexistent/samples.csv")
@@ -235,13 +246,24 @@ class TestDist1d:
         assert out == ""
         assert "--tolerance must be finite and >= 0" in err
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-    def test_invalid_tolerance_env_var(self, capsys, sample_files, monkeypatch, value):
+    @pytest.mark.parametrize(
+        "value, problem",
+        [(value, "must be finite and >= 0") for value in ("nan", "-1", "inf")] + [("abc", "is not a number")],
+        ids=["nan", "-1", "inf", "abc"],
+    )
+    def test_invalid_tolerance_env_var(self, capsys, sample_files, monkeypatch, value, problem):
         monkeypatch.setenv("COPULA_OT_TOLERANCE", value)
         code, out, err = run_cli(capsys, "dist1d", *sample_files)
         assert code == 2
         assert out == ""
-        assert f"COPULA_OT_TOLERANCE='{value}' must be finite and >= 0" in err
+        assert f"COPULA_OT_TOLERANCE='{value}' {problem}" in err
+
+    def test_two_column_file_is_input_error(self, capsys, tmp_path, sample_files):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("0,1\n2,3\n")
+        code, out, err = run_cli(capsys, "dist1d", str(wide), sample_files[1])
+        assert (code, out) == (2, "")
+        assert err == f"error: {wide}: expected 1 column(s), found 2\n"
 
     def test_zero_tolerance_accepted(self, capsys, sample_files):
         code, out, _ = run_cli(capsys, "dist1d", *sample_files, "--tolerance", "0")
@@ -546,6 +568,13 @@ class TestDiagnoseTails:
         path.write_text("1\n")
         code, _, _ = run_cli(capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "3,2")
         assert code == 2
+
+    def test_non_numeric_grid_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1\n")
+        code, out, err = run_cli(capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "error: --grid must be comma-separated reals, got '1,x'\n"
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_grid_is_input_error(self, capsys, tmp_path, bad):

@@ -113,6 +113,16 @@ class TestValidation:
         assert total == pytest.approx(volume, abs=1e-12)
         assert volume < -1e-12
 
+    def test_grounded_witnesses_lie_on_a_face(self):
+        # 0.9 M + 0.1 max(u_1, u_2) is 0.1 u_2 on the face u_1 = 0
+        blend = CopulaFn(dim=2, eval_batch=lambda pts: 0.9 * pts.min(axis=1) + 0.1 * pts.max(axis=1))
+        check = validate_copula(blend, 8).grounded
+        assert not check.passed and check.worst == pytest.approx(0.1)
+        assert len(check.witnesses) == 5
+        for point, value in check.witnesses:
+            assert min(point) == 0.0
+            assert value == blend(point)
+
     def test_broken_margin_detected(self):
         squashed = CopulaFn(dim=2, eval_batch=lambda pts: 0.5 * pts.min(axis=1))
         report = validate_copula(squashed, 8)

@@ -153,6 +153,21 @@ class TestWasserstein1D:
         assert report.value == pytest.approx(shift, abs=1e-6)
         assert report.error_bound < 1e-6
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_tail_moment_bounds_enter_the_error_bound(self, p):
+        # |a - b|^p <= 2^(p-1) (|a|^p + |b|^p): the declared tail masses add
+        # 2^(p-1) (b_f + b_g) to the quadrature estimate
+        def pair(b_f, b_g):
+            f = from_quantile(lambda u: u, lambda x: min(1.0, max(0.0, x)), math.inf, b_f)
+            g = from_quantile(lambda u: 2.0 * u, lambda x: min(1.0, max(0.0, x / 2.0)), math.inf, b_g)
+            return f, g
+
+        b_f, b_g = 1e-3, 2e-3
+        bounded = wasserstein_1d(*pair(lambda _p, _eps: b_f, lambda _p, _eps: b_g), p)
+        unbounded = wasserstein_1d(*pair(None, None), p)
+        assert bounded.value_pth_power == unbounded.value_pth_power
+        assert bounded.error_bound - unbounded.error_bound == pytest.approx(2.0 ** (p - 1.0) * (b_f + b_g), rel=1e-12)
+
     @settings(max_examples=60)
     @given(st.data())
     def test_oracle_agreement(self, data):

@@ -111,11 +111,28 @@ class TestConstruction:
             (lambda: DiscreteCoupling([[0.0, 1.0], [2.0]], [0.0], [[0.5], [0.5]]), ConstructionError, "row_points"),
             (lambda: DiscreteCoupling([0.0, 1.0], [0.0], [[0.5], [0.25, 0.25]]), ConstructionError, "mass"),
             (lambda: wasserstein_1d(from_samples([0.0]), from_samples([1.0]), "x"), DomainError, "order p"),
+            # a complex array would cast to its real parts with only a ComplexWarning
+            (lambda: from_atoms(np.array([1 + 2j, 3 + 0j]), [0.5, 0.5]), ConstructionError, "atoms"),
+            (lambda: from_samples(np.array([1 + 2j, 3 + 0j])), ConstructionError, "samples"),
+            (lambda: TransportInstance(np.array([1 + 1j]), [1.0], [0.0], [1.0]), ConstructionError, "mu_points"),
+            (lambda: from_quantile(lambda u: u, lambda x: x, "x"), ConstructionError, "p_moment_order"),
+            (
+                lambda: Distribution1D(cdf_fn=lambda x: x, quantile_fn=lambda u: u, p_moment_order="x"),
+                ConstructionError,
+                "p_moment_order",
+            ),
+            (lambda: from_samples([0.0, 1.0]).cdf("x"), DomainError, "argument x, got 'x'"),
+            (lambda: from_samples([0.0, 1.0]).quantile("x"), DomainError, "got 'x'"),
+            (lambda: from_samples([0.0, 1.0]).quantile_many(["x"]), DomainError, "quantile u"),
+            (lambda: tail_decay_diagnostic(from_samples([0.0, 1.0]), 1.0, ["x"]), DomainError, "grid"),
         ],
         ids=[
             "from_atoms-string", "from_atoms-complex", "from_atoms-ragged-weights", "from_samples-string",
             "Distribution1D-ragged", "Distribution1D-complex", "TransportInstance-ragged",
             "DiscreteCoupling-ragged-points", "DiscreteCoupling-ragged-mass", "wasserstein_1d-string-order",
+            "from_atoms-complex-array", "from_samples-complex-array", "TransportInstance-complex-array",
+            "from_quantile-string-order", "Distribution1D-string-order", "cdf-string", "quantile-string",
+            "quantile_many-string", "tail_decay_diagnostic-string-grid",
         ],
     )
     def test_malformed_input_is_a_typed_error_naming_it(self, call, error, name):
@@ -198,6 +215,21 @@ class TestQuantile:
             d = from_quantile(lambda u: u, lambda x: min(max(x, 0.0), 1.0), p_moment_order=2.0)
         with pytest.raises(DomainError):
             d.quantile_many([0.5, math.nan])
+
+    @pytest.mark.parametrize(
+        "d, n",
+        [(from_samples([3.0, -1.0, 2.0, 2.0, 7.5, 0.0, 4.0]), 7), (from_atoms(np.arange(10.0), [0.1] * 10), 10)],
+        ids=["sevenths", "tenths"],
+    )
+    def test_many_matches_quantile_on_the_ladder(self, d, n):
+        # at each rung k/n as a caller writes it and as the measure stores it,
+        # between rungs, and at 1
+        cum = d.cumulative_weights
+        between = (np.concatenate([[0.0], cum[:-1]]) + cum) / 2
+        us = np.concatenate([np.arange(1, n + 1) / n, cum, between, [1.0]])
+        many = d.quantile_many(us)
+        assert many.tolist() == [d.quantile(u) for u in us]
+        assert many[-1] == d.atoms[-1]
 
     def test_u_equal_one_is_max_atom(self):
         d = from_samples([1.0, 5.0])

@@ -515,6 +515,23 @@ class TestSolveExact:
         with pytest.raises(CertificationError, match="dual infeasibility|complementary slackness"):
             solve_exact(inst)
 
+    def test_lowered_line_potentials_fail_complementary_slackness(self, monkeypatch):
+        # every u down by the same 1e-6 of the largest cost keeps u_i + v_j <= c_ij,
+        # so dual feasibility holds and only the slack on the support can tell
+        rng = np.random.default_rng(0)
+        inst = TransportInstance.from_distributions(
+            uniform(rng.normal(0.0, 1e4, 30)), uniform(rng.normal(0.0, 1e4, 30)), p=2.0
+        )
+        staircase = oracle._staircase
+
+        def lowered(instance, cost):
+            mass, u, v = staircase(instance, cost)
+            return mass, u - 1e-6 * cost.max(), v
+
+        monkeypatch.setattr(oracle, "_staircase", lowered)
+        with pytest.raises(CertificationError, match="^complementary slackness fails on the plan support$"):
+            solve_exact(inst)
+
     def test_moved_line_mass_fails_the_margin_check(self, monkeypatch):
         # 1e-6 moved within one row keeps the row margins and the total, so
         # only the column margins can tell
