@@ -131,6 +131,13 @@ def _endpoint_tail_mass(d: Distribution1D, p: float) -> float | None:
     return None
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d(a, b) of real arrays, without the import of numpy.ma that its first call makes."""
+    z = np.concatenate((a, b))
+    z.sort()
+    return z[np.concatenate(([True], z[1:] != z[:-1]))]
+
+
 def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
     """W_1 as the area between the two CDFs.
 
@@ -141,14 +148,12 @@ def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
     _require_moment(f, 1.0)
     _require_moment(g, 1.0)
     if f.is_discrete and g.is_discrete:
-        grid = np.union1d(f.atoms, g.atoms)
+        grid = _union(f.atoms, g.atoms)
         cf, cg = (
-            np.concatenate(([0.0], d.cumulative_weights))[
-                np.searchsorted(d.atoms, grid[:-1], side="right")
-            ]
+            np.concatenate(([0.0], d.cumulative_weights))[d.atoms.searchsorted(grid[:-1], "right")]
             for d in (f, g)
         )
-        area, abserr = float(np.sum(np.diff(grid) * np.abs(cf - cg))), 0.0
+        area, abserr = float(((grid[1:] - grid[:-1]) * np.abs(cf - cg)).sum()), 0.0
     else:
         lo = min(f.quantile(QUAD_EPS), g.quantile(QUAD_EPS))
         hi = max(f.quantile(1.0 - QUAD_EPS), g.quantile(1.0 - QUAD_EPS))
@@ -201,26 +206,27 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     if coupling.dim != 1:
         raise DomainError("this functional is defined for couplings on R")
     # Supports may come unsorted or repeated: sort each stably, the mass alike.
-    rows = np.argsort(coupling.row_points.ravel(), kind="stable")
-    cols = np.argsort(coupling.col_points.ravel(), kind="stable")
+    rows = coupling.row_points.ravel().argsort(kind="stable")
+    cols = coupling.col_points.ravel().argsort(kind="stable")
     xs = coupling.row_points.ravel()[rows]
     ys = coupling.col_points.ravel()[cols]
-    grid = np.union1d(xs, ys)
+    grid = _union(xs, ys)
 
     # Joint and margin CDFs on the merged lattice. padded[i, j] is the mass
     # of the first i sorted row points and the first j sorted column points.
     padded = np.zeros((xs.size + 1, ys.size + 1))
-    padded[1:, 1:] = np.cumsum(np.cumsum(coupling.mass[np.ix_(rows, cols)], axis=0), axis=1)
-    xi = np.searchsorted(xs, grid[:-1], side="right")
-    yi = np.searchsorted(ys, grid[:-1], side="right")
-    joint = padded[np.ix_(xi, yi)]
-    a, b = np.indices(joint.shape, sparse=True)
-    g_side = padded[-1, yi][b] - joint  # G(y) - H(x, y), the weight where x > y
-    f_side = padded[xi, -1][a] - joint  # F(x) - H(x, y), the weight where y > x
-    weight = np.where(a > b, g_side, np.where(a < b, f_side, (g_side + f_side) / 2))
+    padded[1:, 1:] = coupling.mass[rows[:, None], cols].cumsum(axis=0).cumsum(axis=1)
+    xi, yi = xs.searchsorted(grid[:-1], "right"), ys.searchsorted(grid[:-1], "right")
+    joint = padded[xi[:, None], yi]
+    g_col = padded[-1, yi]  # G(y): the weight where x > y is G(y) - H(x, y)
+    f_row = padded[xi, -1]  # F(x): the weight where y > x is F(x) - H(x, y)
+    k = np.arange(grid.size - 1)
+    weight = np.where(k[:, None] > k, g_col, f_row[:, None]) - joint
+    weight[k, k] = ((g_col - joint[k, k]) + (f_row - joint[k, k])) / 2
 
-    kernel = -np.diff(np.diff(_ground_cost(grid[:, None], grid[:, None], p, p), axis=0), axis=1)
-    return float(np.sum(weight * kernel))
+    cost = _ground_cost(grid[:, None], grid[:, None], p, p)
+    kernel = -((cost[1:, 1:] - cost[:-1, 1:]) - (cost[1:, :-1] - cost[:-1, :-1]))
+    return float((weight * kernel).sum())
 
 
 def wasserstein_shared_copula(

@@ -68,9 +68,9 @@ def _weights(values, name: str) -> np.ndarray:
     """The one weight rule: an owned flat copy of ``values`` if every weight is
     finite and strictly positive and they sum to 1 within ``WEIGHT_SUM_TOL``."""
     w = _owned(values, name).ravel()
-    if not np.all(np.isfinite(w) & (w > 0.0)):
+    if w.size and not (0.0 < w.min() and w.max() < math.inf):  # min() and max() carry a NaN
         raise ConstructionError(f"{name} must be finite and strictly positive")
-    total = float(np.sum(w))
+    total = float(w.sum())
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise ConstructionError(f"{name} must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
     return w
@@ -109,11 +109,16 @@ def _comonotone_path(cum_a: np.ndarray, cum_b: np.ndarray) -> tuple[np.ndarray, 
     at each the walk steps to that side's next atom. Returns (i, j, widths):
     m + n - 1 cells, each with its u-length, the last ending at exactly 1; a
     tie gives a cell of width zero."""
-    ends = np.minimum(np.concatenate([[0.0], cum_a[:-1], cum_b[:-1], [1.0]]), 1.0)
-    # cell k's row counts a's among the first k merged rungs; stable sorts merge two runs in O(m + n)
-    i = np.cumsum(np.append(False, np.argsort(ends[1:-1], kind="stable") < cum_a.size - 1), dtype=np.int32)
-    ends[1:-1].sort(kind="stable")
-    return i, np.arange(i.size, dtype=np.int32) - i, np.diff(ends)
+    m = cum_a.size
+    ends = np.empty(m + cum_b.size)
+    ends[0], ends[1:m], ends[m:-1], ends[-1] = 0.0, cum_a[:-1], cum_b[:-1], 1.0
+    np.minimum(ends, 1.0, out=ends)
+    # a stable sort merges the two runs in O(m + n); cell k's row counts a's among the first k rungs
+    order = ends[1:-1].argsort(kind="stable")
+    i = np.zeros(ends.size - 1, dtype=np.int32)
+    np.cumsum(order < m - 1, out=i[1:])
+    ends[1:-1] = ends[1:-1][order]
+    return i, np.arange(i.size, dtype=np.int32) - i, ends[1:] - ends[:-1]
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,8 @@ class Distribution1D:
         weights = _weights(self.weights, "weights")
         if atoms.ndim != 1 or weights.shape != atoms.shape:
             raise ConstructionError("a discrete measure needs at least one atom, each with a weight")
-        if not (np.all(np.isfinite(atoms)) and np.all(atoms[1:] > atoms[:-1])):
+        # increasing leaves no NaN inside, so only the ends need testing for finiteness
+        if not (-math.inf < atoms[0] and atoms[-1] < math.inf and (atoms[1:] > atoms[:-1]).all()):
             raise ConstructionError("atoms must be finite and strictly increasing")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
@@ -183,7 +189,7 @@ class Distribution1D:
         """Running weight sums, the comonotone path's rungs: capped at 1 to stay sorted, the last 1.0."""
         if self.weights is None:
             raise DomainError("parametric measure has no weight ladder")
-        cum = np.cumsum(self.weights)
+        cum = self.weights.cumsum()
         np.minimum(cum, 1.0, out=cum)
         cum[-1] = 1.0
         cum.flags.writeable = False
@@ -279,7 +285,7 @@ def _comonotone_integral(
         i, j, widths = _comonotone_path(f.cumulative_weights, g.cumulative_weights)
         keep = widths > 0.0
         i, j, widths = i[keep], j[keep], widths[keep]
-        return float(np.sum(widths * integrand(f.atoms[i], g.atoms[j]))), 0.0
+        return float((widths * integrand(f.atoms[i], g.atoms[j])).sum()), 0.0
     return _quad_checked(
         lambda u: integrand(*(np.float64(m.quantile(u)) for m in margins)),
         QUAD_EPS,

@@ -79,7 +79,7 @@ def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ConstructionError(f"{name} must be a nonempty list of points")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConstructionError(f"{name} must contain only finite coordinates")
     return arr
 
@@ -103,9 +103,10 @@ class DiscreteCoupling:
             )
         if rp.shape[1] != cp.shape[1]:
             raise ConstructionError("row and column supports must share a dimension")
-        if not np.all(np.isfinite(mat)) or np.any(mat < -MASS_CLAMP_TOL):
+        if not (-MASS_CLAMP_TOL <= mat.min() and mat.max() < np.inf):
             raise ConstructionError("coupling mass must be finite and not materially negative")
-        mat = _owned(np.where(mat < 0.0, 0.0, mat), "mass")
+        mat = np.ascontiguousarray(np.where(mat < 0.0, 0.0, mat))  # C order: sums never see the input's layout
+        mat.flags.writeable = False
         total = float(mat.sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
             raise ConstructionError(f"total mass is {total!r}, expected 1")
@@ -186,8 +187,10 @@ def _ground_cost(x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray
     A cost that overflows double precision raises ``DomainError``.
     """
     with np.errstate(over="ignore"):
-        cost = np.sum(np.abs(x[:, None, :] - y[None, :, :]) ** q, axis=2) ** (p / q)
-    if not np.all(np.isfinite(cost)):
+        terms = (np.abs(xk[:, None] - yk) ** q for xk, yk in zip(x.T, y.T))
+        cost = sum(terms, next(terms, np.zeros((len(x), len(y)))))  # the first term starts the sum
+        cost = cost if q == p else cost ** (p / q)  # x ** 1.0 is x
+    if not np.isfinite(cost).all():
         raise DomainError(f"transport cost at order p = {p:g} overflows double precision")
     return cost
 
@@ -197,7 +200,7 @@ def transport_cost(coupling: DiscreteCoupling, p: float, q: float | None = None)
     p = _order(p, "cost order p")
     q = p if q is None else _order(q, "norm order q")
     cost = _ground_cost(coupling.row_points, coupling.col_points, p, q)
-    return float(np.sum(coupling.mass * cost))
+    return float((coupling.mass * cost).sum())
 
 
 def solve_exact(instance: TransportInstance) -> TransportSolution:
@@ -221,18 +224,18 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
         )
     cost = instance.cost_matrix
     mass, u, v = (_staircase if instance.mu_points.shape[1] == 1 else _highs)(instance, cost)
-    weights = np.concatenate([instance.mu_weights, instance.nu_weights])
-    miss = float(np.max(np.abs(np.concatenate([mass.sum(axis=1), mass.sum(axis=0)]) - weights)))
+    row_miss = np.abs(mass.sum(axis=1) - instance.mu_weights).max()
+    miss = float(np.maximum(row_miss, np.abs(mass.sum(axis=0) - instance.nu_weights).max()))
     if miss > TOTAL_MASS_TOL:
         raise CertificationError(f"the plan's margins miss the weights by {miss:.3g}")
     plan = DiscreteCoupling(instance.mu_points, instance.nu_points, mass)
-    value = float(np.sum(plan.mass * cost))
+    value = float((plan.mass * cost).sum())
     slack = cost - (u[:, None] + v[None, :])
     slack_tol = DUAL_CERT_TOL * max(1.0, float(cost.max()))
     if float(slack.min()) < -slack_tol:
         raise CertificationError("dual infeasibility: u_i + v_j exceeds the cost somewhere")
     support = plan.support()
-    if support.any() and float(np.max(np.abs(slack[support]))) > slack_tol:
+    if support.any() and float(np.abs(slack[support]).max()) > slack_tol:
         raise CertificationError("complementary slackness fails on the plan support")
     dual = float(instance.mu_weights @ u + instance.nu_weights @ v)
     if abs(dual - value) > slack_tol:
@@ -248,16 +251,18 @@ def _staircase(instance: TransportInstance, cost: np.ndarray):
     Its m + n - 1 cells, with a tied rung's cell of width zero, form a
     spanning tree, so u_i + v_j = c_ij on them fixes the potentials.
     """
-    rows = np.argsort(instance.mu_points[:, 0], kind="stable")
-    cols = np.argsort(instance.nu_points[:, 0], kind="stable")
-    i, j, widths = _comonotone_path(np.cumsum(instance.mu_weights[rows]), np.cumsum(instance.nu_weights[cols]))
+    rows = instance.mu_points[:, 0].argsort(kind="stable")
+    cols = instance.nu_points[:, 0].argsort(kind="stable")
+    i, j, widths = _comonotone_path(instance.mu_weights[rows].cumsum(), instance.nu_weights[cols].cumsum())
+    cells = rows[i] * cols.size + cols[j]
     mass = np.zeros(cost.shape)
-    mass[rows[i], cols[j]] = widths
-    steps = np.diff(cost[rows[i], cols[j]])
+    mass.put(cells, widths)
+    path = cost.take(cells)
+    steps = path[1:] - path[:-1]
     step_row = i[1:] != i[:-1]
-    u, v = np.zeros(rows.size), np.full(cols.size, cost[rows[0], cols[0]])
-    u[rows[1:]] = np.cumsum(steps[step_row])
-    v[cols[1:]] += np.cumsum(steps[~step_row])
+    u, v = np.zeros(rows.size), np.full(cols.size, path[0])
+    u[rows[1:]] = steps[step_row].cumsum()
+    v[cols[1:]] += steps[~step_row].cumsum()
     return mass, u, v
 
 

@@ -632,8 +632,12 @@ class TestImportBudget:
     """The CLI's discrete paths never need scipy, so they must not load it."""
 
     @staticmethod
-    def scipy_modules_after(code: str) -> list[str]:
-        probe = code + "\nimport json\nprint(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))"
+    def scipy_modules_after(code: str, package: str = "scipy") -> list[str]:
+        """The modules of ``package`` that running ``code`` loads."""
+        probe = code + (
+            "\nimport json\nprint(json.dumps(sorted(k for k in sys.modules "
+            f"if k == {package!r} or k.startswith({package + '.'!r}))))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=SUBPROCESS_ENV, check=True
         )
@@ -652,6 +656,21 @@ class TestImportBudget:
             "import sys\nfrom copula_ot.cli import main\n"
             f"assert main(['dist1d', {str(a)!r}, {str(b)!r}, '--p', '2']) == 0"
         )
+        assert self.scipy_modules_after(run) == []
+
+    def test_dist1d_w1_loads_neither_numpy_ma_nor_scipy(self, tmp_path, rng):
+        # np.union1d's first call imports numpy.ma, 10-20 ms of a fresh process
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("\n".join(str(v) for v in rng.normal(size=100)) + "\n")
+        b.write_text("\n".join(str(v) for v in rng.normal(size=100)) + "\n")
+        run = (
+            "import io, json, sys\nfrom contextlib import redirect_stdout\nfrom copula_ot.cli import main\n"
+            "out = io.StringIO()\nwith redirect_stdout(out):\n"
+            f"    assert main(['dist1d', {str(a)!r}, {str(b)!r}, '--p', '1']) == 0\n"
+            "assert 'cdf_area' in json.loads(out.getvalue())['methods']"
+        )
+        assert self.scipy_modules_after(run, package="numpy.ma") == []
         assert self.scipy_modules_after(run) == []
 
     def test_dist1d_inside_the_lp_guard_loads_no_scipy(self, tmp_path, rng):

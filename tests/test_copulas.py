@@ -67,6 +67,22 @@ class TestBuiltins:
     def test_independence(self):
         assert independence_copula(2)((0.5, 0.5)) == 0.25
 
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_column_folds_match_the_row_reductions(self, rng, dim):
+        # the built-ins fold a ufunc over the columns; the row-wise reductions
+        # they replaced are the reference
+        pts = rng.random((500, dim))
+        assert np.array_equal(comonotonicity_copula(dim).batch(pts), pts.min(axis=1))
+        assert np.array_equal(independence_copula(dim).batch(pts), pts.prod(axis=1))
+        near_one = 1.0 - rng.random((500, dim)) / dim  # W > 0 at every point
+        folded = lower_frechet_bound(dim).batch(near_one)
+        reference = np.maximum(near_one.sum(axis=1) - (dim - 1), 0.0)
+        assert folded.min() > 0.0
+        if dim <= 7:
+            assert np.array_equal(folded, reference)
+        else:  # from 8 columns on, numpy's pairwise add reduce groups the terms differently
+            assert np.abs(folded - reference).max() <= 4e-15
+
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             comonotonicity_copula(1)

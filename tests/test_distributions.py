@@ -99,6 +99,26 @@ class TestConstruction:
             Distribution1D(atoms=atoms, weights=weights)
 
     @pytest.mark.parametrize(
+        "atoms, weights, message",
+        [
+            ([1.0, 2.0], [math.inf, 0.5], "weights must be finite and strictly positive"),
+            ([1.0, 2.0], [0.5, -math.inf], "weights must be finite and strictly positive"),
+            ([1.0, 2.0], [math.nan, 0.5], "weights must be finite and strictly positive"),
+            ([1.0, 2.0], [0.5, math.nan], "weights must be finite and strictly positive"),
+            ([], [], r"weights must sum to 1 within 1e-12, got 0\.0"),
+            ([1.0, math.inf], [0.5, 0.5], "atoms must be finite and strictly increasing"),
+            ([-math.inf, 1.0], [0.5, 0.5], "atoms must be finite and strictly increasing"),
+            ([math.inf], [1.0], "atoms must be finite and strictly increasing"),
+            ([math.nan], [1.0], "atoms must be finite and strictly increasing"),
+            ([math.nan, 1.0], [0.5, 0.5], "atoms must be finite and strictly increasing"),
+            ([0.0, math.nan, 1.0], [0.25, 0.5, 0.25], "atoms must be finite and strictly increasing"),
+        ],
+    )
+    def test_each_check_keeps_its_message(self, atoms, weights, message):
+        with pytest.raises(ConstructionError, match=message):
+            Distribution1D(atoms=atoms, weights=weights)
+
+    @pytest.mark.parametrize(
         "call, error, name",
         [
             (lambda: from_atoms(["a"], [1.0]), ConstructionError, "atoms"),

@@ -755,6 +755,18 @@ class TestMonotonePlan:
             assert np.allclose(merged.mass, extracted.mass, atol=1e-12, rtol=0.0)
 
 
+class TestGroundCost:
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (1.5, 1.5), (1.0, 2.0), (3.0, 1.5)])
+    def test_line_cost_is_the_general_formula(self, rng, p, q):
+        # on the line the cost skips the length-1 sum, and at q = p the power p / q = 1
+        x, y = rng.normal(size=(17, 1)), rng.normal(size=(23, 1))
+        mass = rng.random((17, 23))
+        plan = DiscreteCoupling(x, y, mass / mass.sum())
+        reference = np.sum(np.abs(x[:, None, :] - y[None, :, :]) ** q, axis=2) ** (p / q)
+        assert np.array_equal(oracle._ground_cost(x, y, p, q), reference)
+        assert transport_cost(plan, p, q) == float(np.sum(plan.mass * reference))
+
+
 class TestDiscreteCoupling:
     def test_negative_mass_rejected(self):
         with pytest.raises(ConstructionError):
@@ -767,6 +779,25 @@ class TestDiscreteCoupling:
     def test_nan_mass_rejected(self):
         with pytest.raises(ConstructionError, match="finite"):
             DiscreteCoupling([0.0, 1.0], [0.0], [[1.0], [np.nan]])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, -2e-12])
+    def test_non_finite_or_negative_mass_rejected(self, bad):
+        with pytest.raises(ConstructionError, match="coupling mass must be finite and not materially negative"):
+            DiscreteCoupling([0.0, 1.0], [0.0], [[1.0], [bad]])
+
+    def test_clamped_mass_is_read_only(self):
+        plan = DiscreteCoupling([0.0, 1.0], [0.0], np.array([[1.0], [-1e-13]]))
+        assert plan.mass[1, 0] == 0.0 and not math.copysign(1.0, plan.mass[1, 0]) < 0.0
+        assert not plan.mass.flags.writeable
+        with pytest.raises(ValueError):
+            plan.mass[0, 0] = 0.5
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ConstructionError, match="row_points must contain only finite coordinates"):
+            DiscreteCoupling([0.0, bad], [0.0], [[0.5], [0.5]])
+        with pytest.raises(ConstructionError, match="nu_points must contain only finite coordinates"):
+            TransportInstance([0.0], [1.0], [[0.0, bad]], [1.0])
 
     def test_total_mass_checked(self):
         with pytest.raises(ConstructionError):
