@@ -328,10 +328,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_diagnose_tails(args: argparse.Namespace) -> tuple[int, dict]:
     samples = read_csv_columns(args.file, expect_cols=1).ravel()
     dist = from_samples(samples)
-    try:
-        grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-    except ValueError:
-        raise InputError(f"--grid must be comma-separated reals, got {args.grid!r}") from None
+    grid = [tok for tok in args.grid.split(",") if tok.strip()]
     rows = tail_decay_diagnostic(dist, args.r, grid)
     payload = {
         "command": "diagnose-tails",

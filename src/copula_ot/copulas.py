@@ -75,9 +75,16 @@ class CopulaFn:
         return float(self.batch(point[None])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at the rows of a (k, d) array, as a (k,) array."""
+        """Values at the rows of a (k, d) array, as a (k,) array of their own:
+        it shares no memory with ``points``, even where ``eval_batch``
+        returns a view of them."""
         points = np.asarray(points, dtype=float)
-        values = np.asarray(self.eval_batch(points), dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise DomainError(
+                f"copula {self.label!r} of dimension {self.dim} takes points of shape "
+                f"(k, {self.dim}), got {points.shape}"
+            )
+        values = np.array(self.eval_batch(points), dtype=float)
         if values.shape != points.shape[:1]:
             raise DomainError(
                 f"eval_batch of copula {self.label!r} returned shape {values.shape} "
@@ -335,4 +342,4 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
     volumes *= np.divide(f.weights, row_sums, out=np.ones(xs.size), where=row_sums > 0)[:, None]
     if float(np.abs(volumes.sum(axis=0) - g.weights).max()) > TOTAL_MASS_TOL:
         raise InvalidJointError("joint does not reproduce its second margin")
-    return DiscreteCoupling(xs, ys, volumes)
+    return DiscreteCoupling._from_checked(xs[:, None], ys[:, None], volumes)

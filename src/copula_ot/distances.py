@@ -215,9 +215,9 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     # Joint and margin CDFs on the merged lattice. padded[i, j] is the mass
     # of the first i sorted row points and the first j sorted column points.
     padded = np.zeros((xs.size + 1, ys.size + 1))
-    padded[1:, 1:] = coupling.mass[rows[:, None], cols].cumsum(axis=0).cumsum(axis=1)
+    padded[1:, 1:] = coupling.mass.take(rows, 0).take(cols, 1).cumsum(axis=0).cumsum(axis=1)
     xi, yi = xs.searchsorted(grid[:-1], "right"), ys.searchsorted(grid[:-1], "right")
-    joint = padded[xi[:, None], yi]
+    joint = padded.take(xi, 0).take(yi, 1)
     g_col = padded[-1, yi]  # G(y): the weight where x > y is G(y) - H(x, y)
     f_row = padded[xi, -1]  # F(x): the weight where y > x is F(x) - H(x, y)
     k = np.arange(grid.size - 1)

@@ -64,16 +64,42 @@ def _owned(values, name: str) -> np.ndarray:
     return arr
 
 
-def _weights(values, name: str) -> np.ndarray:
-    """The one weight rule: an owned flat copy of ``values`` if every weight is
-    finite and strictly positive and they sum to 1 within ``WEIGHT_SUM_TOL``."""
-    w = _owned(values, name).ravel()
+def _weight_rule(w: np.ndarray, name: str) -> None:
+    """The one weight rule on a flat float array: ``ConstructionError`` naming
+    ``name`` unless every weight is finite and strictly positive and they sum
+    to 1 within ``WEIGHT_SUM_TOL``."""
     if w.size and not (0.0 < w.min() and w.max() < math.inf):  # min() and max() carry a NaN
         raise ConstructionError(f"{name} must be finite and strictly positive")
     total = float(w.sum())
     if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise ConstructionError(f"{name} must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+
+
+def _weights(values, name: str) -> np.ndarray:
+    """An owned flat copy of ``values`` that meets the weight rule."""
+    w = _owned(values, name).ravel()
+    _weight_rule(w, name)
     return w
+
+
+def _ladder_rule(atoms: np.ndarray, weights: np.ndarray) -> None:
+    """The discrete measure's rule on its stored arrays, whose weights meet
+    the weight rule: one finite atom per weight, strictly increasing."""
+    if atoms.ndim != 1 or weights.shape != atoms.shape:
+        raise ConstructionError("a discrete measure needs at least one atom, each with a weight")
+    # increasing leaves no NaN inside, so only the ends need testing for finiteness
+    if not (-math.inf < atoms[0] and atoms[-1] < math.inf and (atoms[1:] > atoms[:-1]).all()):
+        raise ConstructionError("atoms must be finite and strictly increasing")
+
+
+def _adopt(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` that holds ``fields`` as
+    they are, past its ``__post_init__`` and without a copy. Only for arrays
+    the library has checked, that are read-only and that no caller can write;
+    fields left out keep their class defaults."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _atom_index(cum: np.ndarray, u):
@@ -130,7 +156,8 @@ class Distribution1D:
     downstream formula consumes only the (CDF, quantile) pair, or
     ``(cdf_fn, quantile_fn)`` for parametric ones. Atoms must be finite and
     strictly increasing, and weights strictly positive with a total within
-    ``WEIGHT_SUM_TOL`` of 1; both are stored as read-only float copies.
+    ``WEIGHT_SUM_TOL`` of 1; both are stored as read-only float copies
+    (``from_samples`` and ``from_atoms`` hand over the arrays they built).
 
     ``p_moment_order`` is the largest order ``p`` for which membership in
     the Wasserstein space of order ``p`` is asserted. Discrete measures get
@@ -164,11 +191,7 @@ class Distribution1D:
             return
         atoms = _owned(self.atoms, "atoms")
         weights = _weights(self.weights, "weights")
-        if atoms.ndim != 1 or weights.shape != atoms.shape:
-            raise ConstructionError("a discrete measure needs at least one atom, each with a weight")
-        # increasing leaves no NaN inside, so only the ends need testing for finiteness
-        if not (-math.inf < atoms[0] and atoms[-1] < math.inf and (atoms[1:] > atoms[:-1]).all()):
-            raise ConstructionError("atoms must be finite and strictly increasing")
+        _ladder_rule(atoms, weights)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -323,6 +346,16 @@ def _quad_checked(fn, lo: float, hi: float, *, what: str, breaks=()) -> tuple[fl
 # -- constructors -------------------------------------------------------------
 
 
+def _discrete(atoms: np.ndarray, weights: np.ndarray) -> Distribution1D:
+    """The discrete measure on float arrays just built here, which no caller
+    holds and whose weights meet the weight rule: it adopts them read-only,
+    after the ladder rule, without the copies the public constructor makes."""
+    atoms.flags.writeable = False
+    weights.flags.writeable = False
+    _ladder_rule(atoms, weights)
+    return _adopt(Distribution1D, atoms=atoms, weights=weights)
+
+
 def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
     """Empirical measure: weight 1/n per sample, duplicates merged.
 
@@ -333,8 +366,11 @@ def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
     arr = _reals(samples, "samples").ravel()
     if not arr.size:
         raise ConstructionError("from_samples needs at least one sample")
-    atoms, counts = np.unique(arr, return_counts=True)
-    return Distribution1D(atoms=atoms, weights=np.diff(np.cumsum(counts) / arr.size, prepend=0.0))
+    atoms, counts = np.unique(arr, return_counts=True)  # sorts a copy: arr may be the caller's array
+    rungs = np.cumsum(counts) / arr.size
+    weights = rungs - np.concatenate(([0.0], rungs[:-1]))  # its steps: np.diff with prepend is slower
+    _weight_rule(weights, "weights")
+    return _discrete(atoms, weights)
 
 
 def from_atoms(
@@ -345,14 +381,16 @@ def from_atoms(
 
     Duplicate atoms are merged by accumulating their weights so the CDF is a
     step function with strictly increasing jump locations. The weights meet
-    the weight rule before the merge; the measure checks the rest.
+    the weight rule before the merge, which would hide a negative one; the
+    merged atoms meet the ladder rule.
     """
     a = _reals(atoms, "atoms").ravel()
-    w = _weights(weights, "weights")
+    w = _reals(weights, "weights").ravel()
+    _weight_rule(w, "weights")
     if a.shape != w.shape:
         raise ConstructionError("atoms and weights must have matching lengths")
     uniq, inverse = np.unique(a, return_inverse=True)
-    return Distribution1D(atoms=uniq, weights=np.bincount(inverse, weights=w))
+    return _discrete(uniq, np.bincount(inverse, weights=w))
 
 
 def from_quantile(
@@ -386,11 +424,20 @@ def tail_decay_diagnostic(
 
     A finite moment of order r forces both terms to vanish as x grows; for
     compactly supported measures the entries are exactly zero beyond the
-    support, however large x^r is. A term that overflows double precision
-    raises ``DomainError``.
+    support, however large x^r is. A grid entry that is not a real number,
+    as ``float`` reads it, or a term that overflows double precision raises
+    ``DomainError``.
     """
     r = _order(r, "tail order r", low=0.0, strict=True)
-    g = _reals(grid, "grid", error=DomainError).ravel()
+    try:
+        g = _reals(grid, "grid", error=DomainError).ravel()
+    except DomainError:
+        for entry in np.asarray(grid, dtype=object).ravel():  # name the first bad entry
+            try:
+                _reals(entry, "grid")
+            except ConstructionError:
+                raise DomainError(f"grid must be real numbers, got {entry!r}") from None
+        raise
     if not np.all(np.isfinite(g)):
         raise DomainError(f"grid values must be finite, got {float(g[~np.isfinite(g)][0])!r}")
     if g.size and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):

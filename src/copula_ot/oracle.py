@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, _comonotone_path, _order, _owned, _reals, _weights
+from .distributions import Distribution1D, _adopt, _comonotone_path, _order, _owned, _reals, _weights
 from .errors import (
     CapacityError,
     CertificationError,
@@ -84,6 +84,23 @@ def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _mass_rule(mat: np.ndarray) -> np.ndarray:
+    """``mat``, a C-order float matrix that no caller holds, as a coupling's
+    mass: ``ConstructionError`` unless it is finite, no entry is below
+    ``-MASS_CLAMP_TOL`` and the total is within ``TOTAL_MASS_TOL`` of 1.
+    Negative entries are set to zero in place, and ``mat`` becomes read-only."""
+    low = mat.min()
+    if not (-MASS_CLAMP_TOL <= low and mat.max() < np.inf):
+        raise ConstructionError("coupling mass must be finite and not materially negative")
+    if low < 0.0:
+        mat[mat < 0.0] = 0.0
+    mat.flags.writeable = False
+    total = float(mat.sum())
+    if abs(total - 1.0) > TOTAL_MASS_TOL:
+        raise ConstructionError(f"total mass is {total!r}, expected 1")
+    return mat
+
+
 @dataclass(frozen=True)
 class DiscreteCoupling:
     """Nonnegative mass matrix over the product of two finite supports."""
@@ -95,7 +112,7 @@ class DiscreteCoupling:
     def __post_init__(self) -> None:
         rp = _as_points(self.row_points, "row_points")
         cp = _as_points(self.col_points, "col_points")
-        mat = _reals(self.mass, "mass")
+        mat = _reals(self.mass, "mass").copy()  # a C-order copy, which _mass_rule writes to
         if mat.shape != (rp.shape[0], cp.shape[0]):
             raise ConstructionError(
                 f"mass shape {mat.shape} does not match supports "
@@ -103,19 +120,19 @@ class DiscreteCoupling:
             )
         if rp.shape[1] != cp.shape[1]:
             raise ConstructionError("row and column supports must share a dimension")
-        if not (-MASS_CLAMP_TOL <= mat.min() and mat.max() < np.inf):
-            raise ConstructionError("coupling mass must be finite and not materially negative")
-        mat = np.ascontiguousarray(np.where(mat < 0.0, 0.0, mat))  # C order: sums never see the input's layout
-        mat.flags.writeable = False
-        total = float(mat.sum())
-        if abs(total - 1.0) > TOTAL_MASS_TOL:
-            raise ConstructionError(f"total mass is {total!r}, expected 1")
-        for field, arr in (("row_points", rp), ("col_points", cp), ("mass", mat)):
+        for field, arr in (("row_points", rp), ("col_points", cp), ("mass", _mass_rule(mat))):
             object.__setattr__(self, field, arr)
 
     @property
     def dim(self) -> int:
         return int(self.row_points.shape[1])
+
+    @classmethod
+    def _from_checked(cls, row_points: np.ndarray, col_points: np.ndarray, mass: np.ndarray) -> "DiscreteCoupling":
+        """A coupling built inside the library: it keeps the read-only (k, d)
+        points of checked objects as they are, and runs only ``_mass_rule``
+        on ``mass``, a matrix of the right shape that no caller holds."""
+        return _adopt(cls, row_points=row_points, col_points=col_points, mass=_mass_rule(mass))
 
     @property
     def row_weights(self) -> np.ndarray:
@@ -151,8 +168,7 @@ class TransportInstance:
         for pts, w, name in ((mp, mw, "mu"), (npts, nw, "nu")):
             if w.size != pts.shape[0]:
                 raise ConstructionError(f"{name} weights do not match its atoms")
-        p = _order(self.p, "cost order p", error=ConstructionError)
-        q = p if self.q is None else _order(self.q, "norm order q", error=ConstructionError)
+        p, q = _cost_orders(self.p, self.q)
         fields = {"mu_points": mp, "mu_weights": mw, "nu_points": npts, "nu_weights": nw, "p": p, "q": q}
         for field, value in fields.items():
             object.__setattr__(self, field, value)
@@ -165,13 +181,30 @@ class TransportInstance:
         p: float,
         q: float | None = None,
     ) -> "TransportInstance":
+        """The instance of two discrete measures, which holds their read-only
+        atoms (as (k, 1) views) and weights without copying them."""
         if not (mu.is_discrete and nu.is_discrete):
             raise DomainError("the oracle only handles discrete measures")
-        return cls(mu.atoms, mu.weights, nu.atoms, nu.weights, p=p, q=q)
+        p, q = _cost_orders(p, q)
+        return _adopt(
+            cls,
+            mu_points=mu.atoms[:, None],
+            mu_weights=mu.weights,
+            nu_points=nu.atoms[:, None],
+            nu_weights=nu.weights,
+            p=p,
+            q=q,
+        )
 
     @property
     def cost_matrix(self) -> np.ndarray:
         return _ground_cost(self.mu_points, self.nu_points, self.p, self.q)
+
+
+def _cost_orders(p: float, q: float | None) -> tuple[float, float]:
+    """A transport instance's (p, q), q defaulting to p."""
+    p = _order(p, "cost order p", error=ConstructionError)
+    return p, p if q is None else _order(q, "norm order q", error=ConstructionError)
 
 
 class TransportSolution(NamedTuple):
@@ -187,10 +220,14 @@ def _ground_cost(x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray
     A cost that overflows double precision raises ``DomainError``.
     """
     with np.errstate(over="ignore"):
-        terms = (np.abs(xk[:, None] - yk) ** q for xk, yk in zip(x.T, y.T))
-        cost = sum(terms, next(terms, np.zeros((len(x), len(y)))))  # the first term starts the sum
+        # one (d, m, n) broadcast; its terms add in place in coordinate order, so a
+        # line cost is the first term itself and no d reorders the sum
+        terms = np.abs(x.T[:, :, None] - y.T[:, None, :]) ** q
+        cost = terms[0]
+        for term in terms[1:]:
+            cost += term
         cost = cost if q == p else cost ** (p / q)  # x ** 1.0 is x
-    if not np.isfinite(cost).all():
+    if not cost.max() < np.inf:  # max() carries a NaN
         raise DomainError(f"transport cost at order p = {p:g} overflows double precision")
     return cost
 
@@ -228,7 +265,7 @@ def solve_exact(instance: TransportInstance) -> TransportSolution:
     miss = float(np.maximum(row_miss, np.abs(mass.sum(axis=0) - instance.nu_weights).max()))
     if miss > TOTAL_MASS_TOL:
         raise CertificationError(f"the plan's margins miss the weights by {miss:.3g}")
-    plan = DiscreteCoupling(instance.mu_points, instance.nu_points, mass)
+    plan = DiscreteCoupling._from_checked(instance.mu_points, instance.nu_points, mass)
     value = float((plan.mass * cost).sum())
     slack = cost - (u[:, None] + v[None, :])
     slack_tol = DUAL_CERT_TOL * max(1.0, float(cost.max()))
@@ -307,7 +344,7 @@ def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling
     i, j, widths = _comonotone_path(mu.cumulative_weights, nu.cumulative_weights)
     mass = np.zeros((mu.n_atoms, nu.n_atoms))
     mass[i, j] = widths
-    return DiscreteCoupling(mu.atoms, nu.atoms, mass)
+    return DiscreteCoupling._from_checked(mu.atoms[:, None], nu.atoms[:, None], mass)
 
 
 def enumerate_extreme_couplings(

@@ -574,7 +574,7 @@ class TestDiagnoseTails:
         path.write_text("1\n")
         code, out, err = run_cli(capsys, "diagnose-tails", str(path), "--r", "1", "--grid", "1,x")
         assert (code, out) == (2, "")
-        assert err == "error: --grid must be comma-separated reals, got '1,x'\n"
+        assert err == "error: grid must be real numbers, got 'x'\n"
 
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_grid_is_input_error(self, capsys, tmp_path, bad):

@@ -1,6 +1,7 @@
 """Tests for copula evaluation, grid validation, joint CDFs, couplings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,6 +359,24 @@ class TestBatchShape:
         h = JointCDF(c, [uniform([0.0, 1.0]), uniform([0.0, 2.0])])
         with pytest.raises(DomainError, match="lopsided"):
             coupling_from_joint(h)
+
+    @pytest.mark.parametrize(
+        "points",
+        [np.array([[0.9, 0.9, 0.9]]), np.full((2, 1), 0.9), np.array([0.9, 0.9])],
+        ids=["three-columns", "one-column", "flat"],
+    )
+    def test_points_need_one_column_per_dimension(self, points):
+        # a 3-column batch used to reach W's fold and return 1.7
+        message = f"'W' of dimension 2 takes points of shape (k, 2), got {points.shape}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lower_frechet_bound(2).batch(points)
+
+    def test_values_never_share_memory_with_the_points(self):
+        points = np.full((3, 2), 0.5)
+        values = CopulaFn(dim=2, eval_batch=lambda pts: pts[:, 0]).batch(points)
+        assert np.shares_memory(values, points) is False
+        points[...] = 0.25
+        assert values.tolist() == [0.5, 0.5, 0.5]
 
     @pytest.mark.parametrize(
         "copula",

@@ -758,13 +758,21 @@ class TestMonotonePlan:
 class TestGroundCost:
     @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (1.5, 1.5), (1.0, 2.0), (3.0, 1.5)])
     def test_line_cost_is_the_general_formula(self, rng, p, q):
-        # on the line the cost skips the length-1 sum, and at q = p the power p / q = 1
+        # on the line the sum has one term, and at q = p the power p / q = 1
         x, y = rng.normal(size=(17, 1)), rng.normal(size=(23, 1))
         mass = rng.random((17, 23))
         plan = DiscreteCoupling(x, y, mass / mass.sum())
         reference = np.sum(np.abs(x[:, None, :] - y[None, :, :]) ** q, axis=2) ** (p / q)
         assert np.array_equal(oracle._ground_cost(x, y, p, q), reference)
         assert transport_cost(plan, p, q) == float(np.sum(plan.mass * reference))
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (2.0, 2.0), (1.5, 1.5), (1.0, 2.0), (3.0, 1.5)])
+    def test_rd_cost_is_the_per_coordinate_sum(self, rng, d, p, q):
+        x, y = rng.normal(size=(17, d)), rng.normal(size=(23, d))
+        reference = sum(np.abs(x[:, None, k] - y[None, :, k]) ** q for k in range(d)) ** (p / q)
+        # the terms add in coordinate order, as the reference does: no d regroups them
+        assert np.array_equal(oracle._ground_cost(x, y, p, q), reference)
 
 
 class TestDiscreteCoupling:
