@@ -60,10 +60,23 @@ class InputError(CopulaOTError):
 
 _CSV_FORMAT = {"delimiter": ",", "comments": None, "ndmin": 2, "dtype": float}
 
+# numpy picks a decompressor by these suffixes when it opens a path itself
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _parse(lines, skiprows: int = 0) -> np.ndarray:
     """The one float grammar of CSV input: ``np.loadtxt``'s."""
-    return np.loadtxt(lines, skiprows=skiprows, **_CSV_FORMAT)
+    return np.loadtxt(lines, skiprows=skiprows, encoding="utf-8-sig", **_CSV_FORMAT)
+
+
+def _bulk_source(path: str, handle):
+    """What the fast parse reads. Given a str path, numpy reads the file in
+    C chunks; given a handle, it iterates lines in Python. The resolved path
+    names the file ``open`` read (``abspath`` would collapse ``link/..`` by
+    its text) and cannot parse as a URL. The open handle stays the source
+    for the suffixes numpy would decompress, since the input is plain text."""
+    name = os.path.realpath(path)
+    return handle if name.endswith(_NUMPY_DECOMPRESSES) else name
 
 
 def _parses(line: str) -> bool:
@@ -127,7 +140,7 @@ def read_csv_columns(path: str, expect_cols: int | None = None) -> np.ndarray:
             skip = _data_start(path, handle)
             handle.seek(0)
             try:
-                data = _parse(handle, skip)
+                data = _parse(_bulk_source(path, handle), skip)
             except UnicodeDecodeError:
                 raise
             except ValueError:

@@ -366,9 +366,12 @@ def from_samples(samples: Sequence[float] | np.ndarray) -> Distribution1D:
     arr = _reals(samples, "samples").ravel()
     if not arr.size:
         raise ConstructionError("from_samples needs at least one sample")
-    atoms, counts = np.unique(arr, return_counts=True)  # sorts a copy: arr may be the caller's array
-    rungs = np.cumsum(counts) / arr.size
-    weights = rungs - np.concatenate(([0.0], rungs[:-1]))  # its steps: np.diff with prepend is slower
+    atoms = np.sort(arr)  # a copy: arr may be the caller's array
+    ends = np.append(np.flatnonzero(atoms[1:] != atoms[:-1]) + 1, arr.size)  # running count at each run's end
+    atoms = atoms[np.concatenate(([0], ends[:-1]))]  # each run's first sample, as np.unique takes it
+    rungs = ends / arr.size
+    weights = rungs.copy()
+    weights[1:] -= rungs[:-1]  # the rungs' steps, in place: one full-length temporary fewer
     _weight_rule(weights, "weights")
     return _discrete(atoms, weights)
 
@@ -432,10 +435,12 @@ def tail_decay_diagnostic(
     try:
         g = _reals(grid, "grid", error=DomainError).ravel()
     except DomainError:
-        for entry in np.asarray(grid, dtype=object).ravel():  # name the first bad entry
+        for entry in np.asarray(grid, dtype=object).ravel():  # name the first entry that is no real scalar
             try:
-                _reals(entry, "grid")
+                scalar = _reals(entry, "grid").ndim == 0  # a ragged grid's entries convert, as sequences
             except ConstructionError:
+                scalar = False
+            if not scalar:
                 raise DomainError(f"grid must be real numbers, got {entry!r}") from None
         raise
     if not np.all(np.isfinite(g)):

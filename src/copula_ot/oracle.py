@@ -134,14 +134,6 @@ class DiscreteCoupling:
         on ``mass``, a matrix of the right shape that no caller holds."""
         return _adopt(cls, row_points=row_points, col_points=col_points, mass=_mass_rule(mass))
 
-    @property
-    def row_weights(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
-
-    @property
-    def col_weights(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
-
     def support(self) -> np.ndarray:
         """Boolean mask of cells carrying more than ``MASS_CLAMP_TOL`` mass."""
         return self.mass > MASS_CLAMP_TOL
@@ -342,7 +334,7 @@ def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling
     if not (mu.is_discrete and nu.is_discrete):
         raise DomainError("monotone_plan_1d needs discrete measures")
     i, j, widths = _comonotone_path(mu.cumulative_weights, nu.cumulative_weights)
-    mass = np.zeros((mu.n_atoms, nu.n_atoms))
+    mass = np.zeros((mu.atoms.size, nu.atoms.size))
     mass[i, j] = widths
     return DiscreteCoupling._from_checked(mu.atoms[:, None], nu.atoms[:, None], mass)
 

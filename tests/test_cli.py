@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, exit codes, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -68,6 +69,60 @@ class TestCsvIngestion:
         path.write_text("1,2\n3\n")
         with pytest.raises(InputError):
             read_csv_columns(str(path))
+
+    @pytest.fixture
+    def loadtxt_sources(self, monkeypatch):
+        """The type of what each np.loadtxt call reads, in call order."""
+        sources, loadtxt = [], np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            sources.append(type(fname))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return sources
+
+    def test_csv_reaches_loadtxt_as_a_path(self, tmp_path, loadtxt_sources):
+        path = tmp_path / "x.csv"
+        path.write_text("value\n1\n2\n")
+        assert read_csv_columns(str(path)).tolist() == [[1.0], [2.0]]
+        assert loadtxt_sources[-1] is str  # the last call is the bulk parse
+
+    @pytest.mark.parametrize("name", ["http:/host/x.csv", "http://host/x.csv"])
+    def test_url_shaped_local_file(self, monkeypatch, tmp_path, loadtxt_sources, name):
+        def no_download(*args, **kwargs):
+            raise AssertionError("a local file was fetched as a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_download)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "x.csv").write_text("x\n0\n1\n")
+        assert read_csv_columns(name).tolist() == [[0.0], [1.0]]
+        assert loadtxt_sources[-1] is str
+
+    def test_dot_dot_after_a_symlinked_directory(self, monkeypatch, tmp_path, loadtxt_sources):
+        # open() resolves link/.. to the target's parent; a text-only
+        # normalisation would read the decoy in the working directory
+        (tmp_path / "target" / "inner").mkdir(parents=True)
+        (tmp_path / "target" / "x.csv").write_text("x\n1\n2\n")
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "cwd" / "x.csv").write_text("x\n7\n8\n9\n")
+        (tmp_path / "cwd" / "link").symlink_to(tmp_path / "target" / "inner")
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert read_csv_columns(os.path.join("link", "..", "x.csv")).tolist() == [[1.0], [2.0]]
+        assert loadtxt_sources[-1] is str
+
+    def test_byte_order_mark_then_data_on_the_path_route(self, tmp_path, loadtxt_sources):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff5\n1\n2\n".encode("utf-8"))
+        assert read_csv_columns(str(path)).tolist() == [[5.0], [1.0], [2.0]]
+        assert loadtxt_sources[-1] is str
+
+    def test_whitespace_only_line_falls_back(self, tmp_path, loadtxt_sources):
+        path = tmp_path / "x.csv"
+        path.write_text("value\n1\n   \n2\n")
+        assert read_csv_columns(str(path)).tolist() == [[1.0], [2.0]]
+        assert str in loadtxt_sources and loadtxt_sources[-1] is not str  # the path parse failed
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compression_suffix_is_plain_text(self, capsys, tmp_path, sample_files, suffix):

@@ -271,8 +271,8 @@ class TestCouplingFromJoint:
         f = random_discrete(rng, max_atoms=8)
         g = random_discrete(rng, max_atoms=8)
         plan = coupling_from_joint(comonotone_joint_2d(f, g))
-        assert np.allclose(plan.row_weights, f.weights, atol=1e-10)
-        assert np.allclose(plan.col_weights, g.weights, atol=1e-10)
+        assert np.allclose(plan.mass.sum(axis=1), f.weights, atol=1e-10)
+        assert np.allclose(plan.mass.sum(axis=0), g.weights, atol=1e-10)
 
     def test_support_is_monotone_overlap_pattern(self, rng):
         f = random_discrete(rng, max_atoms=6)

@@ -66,6 +66,33 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             from_samples([1.0, math.inf])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.round(np.random.default_rng(3).normal(size=100_000), 2),
+            np.round(np.random.default_rng(4).normal(size=1000), 0),
+            np.random.default_rng(5).choice([-0.0, 0.0, 1.0, -1.0], size=1000),
+            np.array([-0.0, 0.0, 0.0, -0.0]),
+            np.array([0.0, -0.0]),
+            np.array([2.5]),
+        ],
+        ids=["rounded-normal-1e5", "rounded-normal-1e3", "signed-zeros-1e3", "signed-zeros", "zero-first", "n1"],
+    )
+    def test_from_samples_equals_the_unique_count_ladder(self, samples):
+        # the construction by np.unique with counts, rungs cumsum(counts)/n
+        atoms, counts = np.unique(samples, return_counts=True)
+        rungs = np.cumsum(counts) / samples.size
+        weights = rungs - np.concatenate(([0.0], rungs[:-1]))
+        kept = samples.copy()
+        d = from_samples(samples)
+        assert d.atoms.tobytes() == atoms.tobytes()  # bitwise, so the sign of a zero atom too
+        assert d.weights.tobytes() == weights.tobytes()
+        assert samples.tobytes() == kept.tobytes() and samples.flags.writeable
+
+    def test_from_samples_nan_message(self):
+        with pytest.raises(ConstructionError, match="^atoms must be finite and strictly increasing$"):
+            from_samples([3.0, math.nan, 1.0, math.nan])
+
     def test_from_atoms_merges_and_sorts(self):
         d = from_atoms([3.0, 1.0, 3.0], [0.25, 0.5, 0.25])
         assert d.atoms.tolist() == [1.0, 3.0]
@@ -401,6 +428,15 @@ class TestTailDiagnostic:
         d = from_samples([1.0])
         with pytest.raises(DomainError, match=rf"grid .*{bad!r}"):
             tail_decay_diagnostic(d, 1.0, [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [([[1, 2], [3]], "[1, 2]"), ([1.0, [2.0, 3.0]], "[2.0, 3.0]"), ([[1, 2], [3, "x"]], "'x'")],
+    )
+    def test_ragged_grid_names_its_first_bad_entry(self, grid, named):
+        with pytest.raises(DomainError) as info:
+            tail_decay_diagnostic(from_samples([0, 1]), 1.0, grid)
+        assert str(info.value) == f"grid must be real numbers, got {named}"
 
     def test_zero_tail_terms_where_x_to_the_r_overflows(self):
         d = from_samples([1.0, 2.0])

@@ -276,8 +276,8 @@ class TestSolveExact:
         f = random_discrete(rng, max_atoms=10)
         g = random_discrete(rng, max_atoms=10)
         sol = solve_exact(TransportInstance.from_distributions(f, g, p=1.5))
-        assert np.allclose(sol.plan.row_weights, f.weights, atol=1e-10)
-        assert np.allclose(sol.plan.col_weights, g.weights, atol=1e-10)
+        assert np.allclose(sol.plan.mass.sum(axis=1), f.weights, atol=1e-10)
+        assert np.allclose(sol.plan.mass.sum(axis=0), g.weights, atol=1e-10)
 
     def test_atom_order_invariance(self, rng):
         f = random_discrete(rng, max_atoms=7)
@@ -651,8 +651,8 @@ class TestEnumerateExtremeCouplings:
         f = random_discrete(rng, max_atoms=4)
         g = random_discrete(rng, max_atoms=4)
         for v in enumerate_extreme_couplings(f.weights, g.weights, f.atoms, g.atoms):
-            assert np.allclose(v.row_weights, f.weights, atol=1e-10)
-            assert np.allclose(v.col_weights, g.weights, atol=1e-10)
+            assert np.allclose(v.mass.sum(axis=1), f.weights, atol=1e-10)
+            assert np.allclose(v.mass.sum(axis=0), g.weights, atol=1e-10)
             # acyclic support: at most m + n - 1 cells carry mass
             assert int(v.support().sum()) <= f.n_atoms + g.n_atoms - 1
 
@@ -690,8 +690,8 @@ class TestMonotonePlan:
             for f, g in (random_pair, drift_pair()):
                 plan = monotone_plan_1d(f, g)
                 assert int(plan.support().sum()) <= f.n_atoms + g.n_atoms - 1
-                assert np.allclose(plan.row_weights, f.weights, rtol=0.0, atol=1e-12)
-                assert np.allclose(plan.col_weights, g.weights, rtol=0.0, atol=1e-12)
+                assert np.allclose(plan.mass.sum(axis=1), f.weights, rtol=0.0, atol=1e-12)
+                assert np.allclose(plan.mass.sum(axis=0), g.weights, rtol=0.0, atol=1e-12)
                 lp = solve_exact(TransportInstance.from_distributions(f, g, p)).value
                 closed_forms = (
                     wasserstein_1d(f, g, p).value_pth_power,
@@ -711,8 +711,8 @@ class TestMonotonePlan:
         assert report.value_pth_power == lp.value > 0.0
         assert report.error_bound == 0.0
         plan = monotone_plan_1d(f, g)
-        assert np.array_equal(plan.row_weights, f.weights)
-        assert np.array_equal(plan.col_weights, g.weights)
+        assert np.array_equal(plan.mass.sum(axis=1), f.weights)
+        assert np.array_equal(plan.mass.sum(axis=0), g.weights)
         assert np.array_equal(plan.mass, lp.plan.mass)
 
     def test_weights_summing_past_one_keep_the_ladder_sorted(self):
@@ -722,8 +722,8 @@ class TestMonotonePlan:
         g = from_atoms([0.0, 1.0], [0.5, 0.5])
         assert np.all(np.diff(f.cumulative_weights) >= 0.0) and f.cumulative_weights[-1] == 1.0
         plan = monotone_plan_1d(f, g)
-        assert np.max(np.abs(plan.row_weights - f.weights)) <= TOTAL_MASS_TOL
-        assert np.array_equal(plan.col_weights, g.weights)
+        assert np.max(np.abs(plan.mass.sum(axis=1) - f.weights)) <= TOTAL_MASS_TOL
+        assert np.array_equal(plan.mass.sum(axis=0), g.weights)
         # every route ends the coupling at exactly 1, so the atom that the
         # capped ladder absorbs gets no mass on any of them
         for p in (1.0, 2.0):
