@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D
+from .distributions import Distribution1D, _count, _reals
 from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
 from .oracle import TOTAL_MASS_TOL, DiscreteCoupling
 
@@ -55,7 +54,9 @@ class CopulaFn:
 
     ``eval_batch``, the only evaluator, maps a (k, d) array of points of
     [0, 1]^d to the (k,) array of their values; single points go through
-    it as a batch of one.
+    it as a batch of one. ``dim`` is an integer >= 2, as ``operator.index``
+    reads it, stored as an ``int`` so that the lattice guard's powers of it
+    cannot wrap as a numpy integer's would.
     """
 
     dim: int
@@ -63,14 +64,13 @@ class CopulaFn:
     label: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DomainError("copulas need dimension >= 2")
+        object.__setattr__(self, "dim", _count(self.dim, "copula dimension", 2))
 
     def __call__(self, u: Sequence[float]) -> float:
-        point = np.asarray(u, dtype=float)
+        point = _reals(u, "copula argument u", DomainError)
         if point.shape != (self.dim,):
             raise DomainError(f"expected a point of length {self.dim}")
-        if np.any(point < 0.0) or np.any(point > 1.0):
+        if not ((point >= 0.0) & (point <= 1.0)).all():  # a NaN coordinate fails both
             raise DomainError("copula arguments live in the unit hypercube")
         return float(self.batch(point[None])[0])
 
@@ -78,13 +78,13 @@ class CopulaFn:
         """Values at the rows of a (k, d) array, as a (k,) array of their own:
         it shares no memory with ``points``, even where ``eval_batch``
         returns a view of them."""
-        points = np.asarray(points, dtype=float)
+        points = _reals(points, "copula points", DomainError)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DomainError(
                 f"copula {self.label!r} of dimension {self.dim} takes points of shape "
                 f"(k, {self.dim}), got {points.shape}"
             )
-        values = np.array(self.eval_batch(points), dtype=float)
+        values = _reals(self.eval_batch(points), f"values of copula {self.label!r}", DomainError).copy()
         if values.shape != points.shape[:1]:
             raise DomainError(
                 f"eval_batch of copula {self.label!r} returned shape {values.shape} "
@@ -138,7 +138,7 @@ def built_in_copula(label: str, dim: int) -> CopulaFn:
     """Look up one of the built-in families by label (M, W, Pi)."""
     try:
         factory = _BUILTINS[label]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise DomainError(f"unknown copula label {label!r}; expected one of M, W, Pi") from None
     return factory(dim)
 
@@ -191,9 +191,8 @@ def validate_copula(c: CopulaFn, grid_resolution: int | None = None) -> Validati
     """
     if c.dim > MAX_VALIDATION_DIM:
         raise CapacityError(f"validation guard: dim {c.dim} > {MAX_VALIDATION_DIM}")
-    resolution = default_resolution(c.dim) if grid_resolution is None else int(grid_resolution)
-    if resolution < 2:
-        raise DomainError("grid resolution must be at least 2")
+    resolution = default_resolution(c.dim) if grid_resolution is None else grid_resolution
+    resolution = _count(resolution, "grid resolution", 2)
     if (resolution + 1) ** c.dim > MAX_LATTICE_POINTS:
         raise CapacityError(
             f"validation guard: a lattice of {resolution + 1}^{c.dim} points exceeds "
@@ -285,19 +284,13 @@ class JointCDF:
     def __call__(self, x: Sequence[float]) -> float:
         """Evaluate H(x) = C(F_1(x_1), ..., F_d(x_d)).
 
-        Coordinates of +-inf are mapped to margin values 1 and 0 directly,
-        so marginalizing by sending other arguments to +inf is exact.
+        Every margin's CDF is exactly 1 at +inf and 0 at -inf, so
+        marginalizing by sending other arguments to +inf is exact.
         """
-        xs = [float(v) for v in x]
-        if len(xs) != self.dim:
+        xs = _reals(x, "joint CDF argument x", DomainError)
+        if xs.shape != (self.dim,):
             raise DomainError(f"expected a point of length {self.dim}")
-        u = []
-        for value, margin in zip(xs, self.margins):
-            if math.isinf(value):
-                u.append(1.0 if value > 0 else 0.0)
-            else:
-                u.append(margin.cdf(value))
-        return float(self.copula(u))
+        return self.copula([margin.cdf(v) for v, margin in zip(xs, self.margins)])
 
 
 def comonotone_joint_2d(f: Distribution1D, g: Distribution1D) -> JointCDF:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked
+from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked, _real
 from .errors import DomainError, PreconditionError
 from .oracle import DiscreteCoupling, _ground_cost
 
@@ -127,7 +127,7 @@ def _endpoint_tail_mass(d: Distribution1D, p: float) -> float | None:
         hi = np.max(np.abs(d.atoms[[0, -1]]))
         return float(2.0 * QUAD_EPS * hi**p)
     if d.tail_moment_bound is not None:
-        return float(d.tail_moment_bound(p, QUAD_EPS))
+        return _order(d.tail_moment_bound(p, QUAD_EPS), "tail_moment_bound", low=0.0)
     return None
 
 
@@ -177,12 +177,16 @@ def comonotone_expectation(
 
     Evaluates the integral of g(F^{-1}(u), H^{-1}(u)) over (0, 1): an exact
     finite sum for discrete margins, quadrature split where a discrete
-    margin jumps otherwise. ``g_fn`` is called on floats. The caller
-    asserts integrability of g along the comonotone path.
+    margin jumps otherwise. ``g_fn`` is called on floats and returns a real
+    number, or ``DomainError`` names it; an expectation that comes out NaN
+    (g was NaN somewhere, or +inf and -inf) is a ``DomainError`` too. The
+    caller asserts integrability of g along the comonotone path.
     """
-    return _comonotone_integral(
-        (f, h), np.vectorize(g_fn, otypes=[float]), what="comonotone expectation"
-    )[0]
+    g = np.vectorize(lambda a, b: _real(g_fn(a, b), "g_fn must return a real number"), otypes=[float])
+    value = _comonotone_integral((f, h), g, what="comonotone expectation")[0]
+    if math.isnan(value):
+        raise DomainError("the comonotone expectation is nan")
+    return value
 
 
 def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:

@@ -13,6 +13,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -52,8 +53,36 @@ def _reals(values, name: str, error: type[Exception] = ConstructionError) -> np.
         if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
             raise TypeError(f"got {arr.dtype} values")
         return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{name} must be real numbers: {exc}") from None
+
+
+def _real(value, what: str, error: type[Exception] = DomainError) -> float:
+    """``value`` as one float, as ``float`` reads it, or ``error``
+    "<what>, got <value>" if it is no real scalar: complex, an array of one
+    dimension or more, or nothing ``float`` reads. The NaN rule is the
+    caller's."""
+    if isinstance(value, float):
+        return float(value)
+    try:
+        arr = np.asarray(value)
+        if arr.ndim == 0 and arr.dtype.kind != "c":  # float() would drop an imaginary part
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what}, got {value!r}")
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int, as ``operator.index`` reads it (so no float, not
+    even 2.0, and no string), or ``DomainError`` unless it is one >= ``low``."""
+    try:
+        count = operator.index(value)
+        if count >= low:
+            return count
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _owned(values, name: str) -> np.ndarray:
@@ -116,12 +145,10 @@ def _order(
     strict: bool = False,
     error: type[Exception] = DomainError,
 ) -> float:
-    """The one check on distance, moment and tail orders: ``value`` as a
-    float, or ``error`` unless it is finite and >= ``low`` (> when strict)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise error(f"{name} must be a real number, got {value!r}") from None
+    """The one check on distance, moment and tail orders, and on a
+    ``tail_moment_bound``'s return: ``value`` as a float, or ``error``
+    unless it is finite and >= ``low`` (> when strict)."""
+    value = _real(value, f"{name} must be a real number", error)
     if not (math.isfinite(value) and (value > low if strict else value >= low)):
         bound = ">" if strict else ">="
         raise error(f"{name} must be finite and {bound} {low:g}, got {value!r}")
@@ -165,8 +192,9 @@ class Distribution1D:
 
     ``tail_moment_bound(p, eps)``, when supplied by a parametric evaluator,
     must bound the quantile integral of ``|F^{-1}(u)|^p`` over
-    ``(0, eps) + (1 - eps, 1)``. It feeds error accounting in distance
-    computations; no numerical inversion is ever attempted here.
+    ``(0, eps) + (1 - eps, 1)`` and return a finite real >= 0, or distance
+    computations raise ``DomainError`` naming it. It feeds their error
+    accounting; no numerical inversion is ever attempted here.
     """
 
     atoms: np.ndarray | None = None
@@ -183,9 +211,9 @@ class Distribution1D:
                 "a measure needs exactly one backing: (atoms, weights) or "
                 "(cdf_fn, quantile_fn)"
             )
-        order = self.p_moment_order
+        order = _real(self.p_moment_order, "p_moment_order must be a real number", ConstructionError)
         if order != math.inf:  # the one order that may be infinite: every moment exists
-            order = _order(order, "p_moment_order", error=ConstructionError)
+            _order(order, "p_moment_order", error=ConstructionError)
         object.__setattr__(self, "p_moment_order", order)
         if self.atoms is None:
             return
@@ -221,15 +249,14 @@ class Distribution1D:
     # -- the two fundamental maps -------------------------------------------
 
     def cdf(self, x: float) -> float:
-        """P(X <= x); right-continuous, 0 below the support and 1 above it.
+        """P(X <= x); right-continuous, 0 below the support and 1 above it,
+        and exactly 0 at -inf and 1 at +inf for every measure, whatever a
+        parametric evaluator returns there.
 
-        A NaN or non-numeric x, or a NaN from a parametric evaluator, raises
-        ``DomainError`` naming x.
+        An x that is NaN or no real number, or a parametric evaluator's
+        return that is NaN or no real number, raises ``DomainError`` naming x.
         """
-        try:
-            x = float(x)
-        except (TypeError, ValueError):
-            raise DomainError(f"cdf requires a real argument x, got {x!r}") from None
+        x = _real(x, "cdf requires a real argument x")
         if math.isnan(x):
             raise DomainError("cdf requires a real argument x, got nan")
         if self.atoms is not None:
@@ -237,7 +264,10 @@ class Distribution1D:
             if idx == 0:
                 return 0.0
             return float(self.cumulative_weights[idx - 1])
-        value = float(self.cdf_fn(x))  # type: ignore[misc]
+        if math.isinf(x):
+            return float(x > 0.0)
+        what = f"cdf evaluator returned no real number at x = {x!r}"
+        value = _real(self.cdf_fn(x), what)  # type: ignore[misc]
         if math.isnan(value):
             raise DomainError(f"cdf evaluator returned nan at x = {x!r}")
         return min(1.0, max(0.0, value))
@@ -248,30 +278,28 @@ class Distribution1D:
         On discrete measures this is the smallest atom whose cumulative
         weight reaches ``u`` within ``QUANTILE_TIE_TOL``; it is
         nondecreasing and left-continuous. Parametric evaluators may return
-        ``inf`` at u == 1 when the support is unbounded above; a NaN from
-        them raises ``DomainError`` naming u.
+        ``inf`` at u == 1 when the support is unbounded above; a return
+        that is NaN or no real number raises ``DomainError`` naming u.
         """
-        try:
-            u = float(u)
-        except (TypeError, ValueError):
-            raise DomainError(f"quantile requires u in (0, 1], got {u!r}") from None
+        u = _real(u, "quantile requires u in (0, 1]")
         if not 0.0 < u <= 1.0:
             raise DomainError(f"quantile requires u in (0, 1], got {u}")
         if self.atoms is not None:
             return float(self.atoms[_atom_index(self.cumulative_weights, u)])
-        value = float(self.quantile_fn(u))  # type: ignore[misc]
+        what = f"quantile evaluator returned no real number at u = {u!r}"
+        value = _real(self.quantile_fn(u), what)  # type: ignore[misc]
         if math.isnan(value):
             raise DomainError(f"quantile evaluator returned nan at u = {u!r}")
         return value
 
     def quantile_many(self, u: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`quantile`; same domain checks per entry."""
+        """Vectorized :meth:`quantile`, of ``u``'s shape; same domain checks per entry."""
         arr = _reals(u, "quantile u", error=DomainError)
         if not np.all((arr > 0.0) & (arr <= 1.0)):
             raise DomainError("quantile requires u in (0, 1]")
         if self.atoms is not None:
             return self.atoms[_atom_index(self.cumulative_weights, arr)]
-        return np.array([self.quantile(v) for v in arr])
+        return np.array([self.quantile(v) for v in arr.flat]).reshape(arr.shape)
 
     # -- moments -------------------------------------------------------------
 
@@ -427,22 +455,12 @@ def tail_decay_diagnostic(
 
     A finite moment of order r forces both terms to vanish as x grows; for
     compactly supported measures the entries are exactly zero beyond the
-    support, however large x^r is. A grid entry that is not a real number,
-    as ``float`` reads it, or a term that overflows double precision raises
-    ``DomainError``.
+    support, however large x^r is. A grid entry that is no real number, as
+    ``float`` reads it (the first is named), or a term that overflows double
+    precision raises ``DomainError``.
     """
     r = _order(r, "tail order r", low=0.0, strict=True)
-    try:
-        g = _reals(grid, "grid", error=DomainError).ravel()
-    except DomainError:
-        for entry in np.asarray(grid, dtype=object).ravel():  # name the first entry that is no real scalar
-            try:
-                scalar = _reals(entry, "grid").ndim == 0  # a ragged grid's entries convert, as sequences
-            except ConstructionError:
-                scalar = False
-            if not scalar:
-                raise DomainError(f"grid must be real numbers, got {entry!r}") from None
-        raise
+    g = np.array([_real(v, "grid must be real numbers") for v in np.asarray(grid, dtype=object).ravel()])
     if not np.all(np.isfinite(g)):
         raise DomainError(f"grid values must be finite, got {float(g[~np.isfinite(g)][0])!r}")
     if g.size and (np.any(g <= 0.0) or np.any(np.diff(g) <= 0.0)):

@@ -357,7 +357,7 @@ def enumerate_extreme_couplings(
     ``TransportInstance``. Vertex counts explode combinatorially, hence the
     hard size guard of ``MAX_ENUMERATION_SIDE`` atoms per side.
     """
-    m, n = np.size(mu_weights), np.size(nu_weights)
+    m, n = _reals(mu_weights, "mu weights").size, _reals(nu_weights, "nu weights").size
     if m > MAX_ENUMERATION_SIDE or n > MAX_ENUMERATION_SIDE:
         raise CapacityError(
             f"margins of size {m} x {n} exceed the guard of {MAX_ENUMERATION_SIDE}"
