@@ -7,7 +7,8 @@ repeated runs on the same inputs are byte-identical, and JSON floats use
 shortest round-trip printing.
 
 Exit codes: 0 success, 1 cross-method disagreement beyond tolerance,
-3 missing hypothesis flag, 4 capacity guard exceeded, 2 any other error.
+3 missing hypothesis flag, 4 capacity guard exceeded, 2 any other error,
+a reader that closed the output pipe early included (no traceback).
 """
 
 from __future__ import annotations
@@ -311,17 +312,13 @@ def cmd_oracle_compare(args: argparse.Namespace) -> tuple[int, dict]:
     comonotone = monotone_plan_1d(f, g)
     comonotone_cost = transport_cost(comonotone, args.p)
     oracle = solve_exact(TransportInstance.from_distributions(f, g, args.p))
-    rows = []
-    for vertex in vertices:
-        cost = transport_cost(vertex, args.p)
-        rows.append(
-            {
-                "cost": cost,
-                "is_comonotone": bool(
-                    np.allclose(vertex.mass, comonotone.mass, atol=1e-12, rtol=0.0)
-                ),
-            }
-        )
+    rows = [
+        {
+            "cost": transport_cost(vertex, args.p),
+            "is_comonotone": bool(np.allclose(vertex.mass, comonotone.mass, atol=1e-12, rtol=0.0)),
+        }
+        for vertex in vertices
+    ]
     rows.sort(key=lambda r: (r["cost"], not r["is_comonotone"]))
     minimal = all(comonotone_cost <= row["cost"] + 1e-9 for row in rows)
     agrees = _relative_gap(comonotone_cost, oracle.value) <= 1e-9
@@ -381,11 +378,9 @@ def emit(payload: dict, fmt: str) -> None:
     flat.sort(key=lambda kv: kv[0])
     if fmt == "csv":
         print("key,value")
-        for key, value in flat:
-            print(f"{key},{value}")
-    else:
-        for key, value in flat:
-            print(f"{key} = {value}")
+    separator = "," if fmt == "csv" else " = "
+    for key, value in flat:
+        print(f"{key}{separator}{value}")
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -463,7 +458,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc, MissingHypothesis):
             return EXIT_MISSING_HYPOTHESIS
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_INPUT
-    emit(payload, args.format)
+    try:
+        emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; at exit the flush would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return code
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, _count, _reals
+from .distributions import Distribution1D, _box_volumes, _count, _reals
 from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
 from .oracle import TOTAL_MASS_TOL, DiscreteCoupling
 
@@ -67,23 +67,21 @@ class CopulaFn:
         object.__setattr__(self, "dim", _count(self.dim, "copula dimension", 2))
 
     def __call__(self, u: Sequence[float]) -> float:
-        point = _reals(u, "copula argument u", DomainError)
-        if point.shape != (self.dim,):
-            raise DomainError(f"expected a point of length {self.dim}")
-        if not ((point >= 0.0) & (point <= 1.0)).all():  # a NaN coordinate fails both
-            raise DomainError("copula arguments live in the unit hypercube")
-        return float(self.batch(point[None])[0])
+        return float(self.batch(_reals(u, "copula argument u", DomainError)[None])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of a (k, d) array, as a (k,) array of their own:
         it shares no memory with ``points``, even where ``eval_batch``
-        returns a view of them."""
+        returns a view of them. A point outside [0, 1]^d, or with a NaN
+        coordinate, is a ``DomainError``: every entry point checks it here."""
         points = _reals(points, "copula points", DomainError)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DomainError(
                 f"copula {self.label!r} of dimension {self.dim} takes points of shape "
                 f"(k, {self.dim}), got {points.shape}"
             )
+        if points.size and not (0.0 <= points.min() and points.max() <= 1.0):  # min() and max() carry a NaN
+            raise DomainError("copula arguments live in the unit hypercube")
         values = _reals(self.eval_batch(points), f"values of copula {self.label!r}", DomainError).copy()
         if values.shape != points.shape[:1]:
             raise DomainError(
@@ -219,11 +217,8 @@ def _check_grounded(points: np.ndarray, values: np.ndarray) -> AxiomCheck:
     on_face = np.any(points == 0.0, axis=1)
     deviation = np.abs(values[on_face])
     worst = float(deviation.max()) if deviation.size else 0.0
-    witnesses = []
-    if worst > AXIOM_TOL:
-        face_points = points[on_face]
-        for idx in np.argsort(deviation)[::-1][:5]:
-            witnesses.append((tuple(face_points[idx]), float(values[on_face][idx])))
+    worst_first = np.argsort(deviation)[::-1][:5] if worst > AXIOM_TOL else []
+    witnesses = [(tuple(points[on_face][k]), float(values[on_face][k])) for k in worst_first]
     return AxiomCheck("grounded", worst <= AXIOM_TOL, worst, tuple(witnesses))
 
 
@@ -243,9 +238,7 @@ def _check_margins(values: np.ndarray, ticks: np.ndarray) -> AxiomCheck:
 
 
 def _check_increasing(values: np.ndarray, ticks: np.ndarray) -> AxiomCheck:
-    volumes = values
-    for axis in range(values.ndim):
-        volumes = np.diff(volumes, axis=axis)
+    volumes = _box_volumes(values)
     min_volume = float(volumes.min())
     witnesses = []
     if min_volume < -AXIOM_TOL:
@@ -321,7 +314,7 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
     uv[..., 0], uv[..., 1] = f.cumulative_weights[:, None], g.cumulative_weights
     lattice = np.zeros((xs.size + 1, ys.size + 1))
     lattice[1:, 1:] = h.copula.batch(uv.reshape(-1, 2)).reshape(xs.size, ys.size)
-    volumes = (lattice[1:, 1:] - lattice[:-1, 1:]) - (lattice[1:, :-1] - lattice[:-1, :-1])
+    volumes = _box_volumes(lattice)
     min_volume = float(volumes.min())
     if min_volume < -AXIOM_TOL:
         bad = np.unravel_index(int(np.argmin(volumes)), volumes.shape)

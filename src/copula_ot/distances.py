@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked, _real
+from .distributions import _box_volumes, _merge
 from .errors import DomainError, PreconditionError
 from .oracle import DiscreteCoupling, _ground_cost
 
@@ -49,8 +50,9 @@ class DistanceReport:
     point and ``value`` its p-th root, W_p. When q differs from p no exact
     representation exists, the interval is a norm-equivalence bracket and
     both point properties are None. Shared-copula reports also carry the
-    per-coordinate W_p^p terms in ``per_coordinate_pth_power``. An end that
-    is not finite (it overflowed) is a ``DomainError``.
+    per-coordinate W_p^p terms in ``per_coordinate_pth_power``. The
+    interval is read as two reals, as ``float`` reads them; anything else, or
+    an end that is not finite (it overflowed), is a ``DomainError``.
     """
 
     bracket_pth_power: tuple[float, float]
@@ -61,7 +63,11 @@ class DistanceReport:
     per_coordinate_pth_power: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        lower, upper = self.bracket_pth_power
+        try:
+            lower, upper = (_real(end, "a bracket end") for end in self.bracket_pth_power)
+        except (TypeError, ValueError):  # not iterable, not two ends, or an end no real number
+            raise DomainError(f"bracket_pth_power must be two real numbers, got {self.bracket_pth_power!r}") from None
+        object.__setattr__(self, "bracket_pth_power", (lower, upper))
         if not (math.isfinite(lower) and math.isfinite(upper)):
             raise DomainError(f"W_p^p at order p = {self.p:g} overflows double precision")
         if not 0.0 <= lower <= upper:
@@ -82,12 +88,13 @@ class DistanceReport:
         return None if self.is_bracket else self.bracket_pth_power[0] ** (1.0 / self.p)
 
 
-def _require_moment(dist: Distribution1D, p: float) -> None:
-    if dist.p_moment_order < p:
-        raise PreconditionError(
-            f"distribution only asserts moments up to order {dist.p_moment_order}, "
-            f"but order {p} is required"
-        )
+def _require_moment(p: float, *dists: Distribution1D) -> None:
+    for dist in dists:
+        if dist.p_moment_order < p:
+            raise PreconditionError(
+                f"distribution only asserts moments up to order {dist.p_moment_order}, "
+                f"but order {p} is required"
+            )
 
 
 def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceReport:
@@ -99,8 +106,7 @@ def wasserstein_1d(f: Distribution1D, g: Distribution1D, p: float) -> DistanceRe
     quadrature estimate reported in ``error_bound``.
     """
     p = _order(p, "Wasserstein order p")
-    _require_moment(f, p)
-    _require_moment(g, p)
+    _require_moment(p, f, g)
     # the integrand and the tail bounds work in numpy floats, so an overflow
     # is an inf, checked once as DistanceReport's DomainError
     with np.errstate(over="ignore"):
@@ -131,11 +137,14 @@ def _endpoint_tail_mass(d: Distribution1D, p: float) -> float | None:
     return None
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.union1d(a, b) of real arrays, without the import of numpy.ma that its first call makes."""
-    z = np.concatenate((a, b))
-    z.sort()
-    return z[np.concatenate(([True], z[1:] != z[:-1]))]
+def _grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct points z of the sorted runs ``a`` and ``b``, and on each
+    cell [z_k, z_k+1) how many of a's and of b's are at or before z_k: the
+    counts at the ``_merge`` entry that ends z_k's run of equal points."""
+    merged, in_a = _merge(a, b)
+    ends = (merged[1:] != merged[:-1]).nonzero()[0]  # every run but the last ends at one of these
+    in_a = in_a[ends]
+    return np.concatenate((merged[ends], merged[-1:])), in_a, ends + 1 - in_a
 
 
 def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
@@ -145,14 +154,10 @@ def w1_cdf_area(f: Distribution1D, g: Distribution1D) -> DistanceReport:
     merged atom grid. This works on the x-axis, independently of the
     u-axis comonotone path behind :func:`wasserstein_1d`.
     """
-    _require_moment(f, 1.0)
-    _require_moment(g, 1.0)
+    _require_moment(1.0, f, g)
     if f.is_discrete and g.is_discrete:
-        grid = _union(f.atoms, g.atoms)
-        cf, cg = (
-            np.concatenate(([0.0], d.cumulative_weights))[d.atoms.searchsorted(grid[:-1], "right")]
-            for d in (f, g)
-        )
+        grid, in_f, in_g = _grid(f.atoms, g.atoms)
+        cf, cg = (np.concatenate(([0.0], d.cumulative_weights))[n] for d, n in ((f, in_f), (g, in_g)))
         area, abserr = float(((grid[1:] - grid[:-1]) * np.abs(cf - cg)).sum()), 0.0
     else:
         lo = min(f.quantile(QUAD_EPS), g.quantile(QUAD_EPS))
@@ -199,8 +204,8 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
 
     which equals the expected cost E|X - Y|^p. The integrands are constant
     on the cells of the merged support grid z, so I is the sum over cells
-    (a, b) of weight * kernel. ``kernel`` is minus the mixed second
-    difference of |z_a - z_b|^p: p(p-1) times the cell integral of
+    (a, b) of weight * kernel. The kernel is minus the box volume of the
+    cost |z_a - z_b|^p on the cell: p(p-1) times the cell integral of
     |x-y|^(p-2) off the diagonal, and the two triangles 2 * width^p on it.
     ``weight`` is G - H below the diagonal (x > y), F - H above it, and their
     mean on it, where the half-planes meet. This stays finite for 1 < p < 2,
@@ -214,13 +219,12 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     cols = coupling.col_points.ravel().argsort(kind="stable")
     xs = coupling.row_points.ravel()[rows]
     ys = coupling.col_points.ravel()[cols]
-    grid = _union(xs, ys)
+    grid, xi, yi = _grid(xs, ys)
 
     # Joint and margin CDFs on the merged lattice. padded[i, j] is the mass
     # of the first i sorted row points and the first j sorted column points.
     padded = np.zeros((xs.size + 1, ys.size + 1))
     padded[1:, 1:] = coupling.mass.take(rows, 0).take(cols, 1).cumsum(axis=0).cumsum(axis=1)
-    xi, yi = xs.searchsorted(grid[:-1], "right"), ys.searchsorted(grid[:-1], "right")
     joint = padded.take(xi, 0).take(yi, 1)
     g_col = padded[-1, yi]  # G(y): the weight where x > y is G(y) - H(x, y)
     f_row = padded[xi, -1]  # F(x): the weight where y > x is F(x) - H(x, y)
@@ -229,8 +233,7 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     weight[k, k] = ((g_col - joint[k, k]) + (f_row - joint[k, k])) / 2
 
     cost = _ground_cost(grid[:, None], grid[:, None], p, p)
-    kernel = -((cost[1:, 1:] - cost[:-1, 1:]) - (cost[1:, :-1] - cost[:-1, :-1]))
-    return float((weight * kernel).sum())
+    return float((weight * -_box_volumes(cost)).sum())
 
 
 def wasserstein_shared_copula(

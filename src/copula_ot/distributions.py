@@ -155,23 +155,50 @@ def _order(
     return value
 
 
+def _merge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable merge of the sorted runs ``a`` and ``b``, a's entries first
+    on a tie, and for each merged entry how many of a's are at or before it.
+    A stable sort of the two runs merges them in O(m + n)."""
+    run = np.concatenate((a, b))
+    order = run.argsort(kind="stable")
+    return run[order], np.add.accumulate(order < a.size, dtype=np.int32)
+
+
+def _rungs(weights: np.ndarray) -> np.ndarray:
+    """The running sums of ``weights``, read-only, capped at 1 so that they
+    stay sorted when the weights sum a little past 1, and the last exactly 1."""
+    cum = weights.cumsum()
+    np.minimum(cum, 1.0, out=cum)
+    cum[-1] = 1.0
+    cum.flags.writeable = False
+    return cum
+
+
+def _box_volumes(values: np.ndarray) -> np.ndarray:
+    """The volume of every box of a lattice of joint-CDF values: the d-fold
+    finite difference, which is the inclusion-exclusion sum over the 2^d
+    corners of each box. Each step is ``np.diff`` along one axis, spelled as
+    its slices: the call costs more than the subtraction on a desk lattice."""
+    for axis in range(values.ndim):
+        before = (slice(None),) * axis
+        values = values[before + (slice(1, None),)] - values[before + (slice(-1),)]
+    return values
+
+
 def _comonotone_path(cum_a: np.ndarray, cum_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The law of (F^{-1}(U), G^{-1}(U)) for m and n sorted atoms with running
-    weight sums ``cum_a`` and ``cum_b``, by Hoffman's north-west corner walk:
-    the interior rungs, capped at 1, merge stably (a's first on a tie), and
-    at each the walk steps to that side's next atom. Returns (i, j, widths):
-    m + n - 1 cells, each with its u-length, the last ending at exactly 1; a
-    tie gives a cell of width zero."""
-    m = cum_a.size
-    ends = np.empty(m + cum_b.size)
-    ends[0], ends[1:m], ends[m:-1], ends[-1] = 0.0, cum_a[:-1], cum_b[:-1], 1.0
-    np.minimum(ends, 1.0, out=ends)
-    # a stable sort merges the two runs in O(m + n); cell k's row counts a's among the first k rungs
-    order = ends[1:-1].argsort(kind="stable")
-    i = np.zeros(ends.size - 1, dtype=np.int32)
-    np.cumsum(order < m - 1, out=i[1:])
-    ends[1:-1] = ends[1:-1][order]
-    return i, np.arange(i.size, dtype=np.int32) - i, ends[1:] - ends[:-1]
+    """The law of (F^{-1}(U), G^{-1}(U)) for m and n sorted atoms with rungs
+    ``cum_a`` and ``cum_b`` (``_rungs`` of their weights), by Hoffman's
+    north-west corner walk: the interior rungs ``_merge`` (a's first on a
+    tie), and at each the walk steps to that side's next atom. Returns
+    (i, j, widths): m + n - 1 cells, each with its u-length, the last ending
+    at exactly 1; a tie gives a cell of width zero."""
+    rungs, rows = _merge(cum_a[:-1], cum_b[:-1])
+    # cell k's row counts a's among the first k rungs; its width runs from rung k - 1 (or 0) to rung k (or 1)
+    i = np.zeros(rungs.size + 1, dtype=np.int32)
+    widths = np.empty(i.size)
+    i[1:], widths[:-1], widths[-1] = rows, rungs, 1.0
+    widths[1:] -= rungs
+    return i, np.arange(i.size, dtype=np.int32) - i, widths
 
 
 @dataclass(frozen=True)
@@ -237,14 +264,10 @@ class Distribution1D:
 
     @cached_property
     def cumulative_weights(self) -> np.ndarray:
-        """Running weight sums, the comonotone path's rungs: capped at 1 to stay sorted, the last 1.0."""
+        """The ``_rungs`` of the weights, which the comonotone path merges."""
         if self.weights is None:
             raise DomainError("parametric measure has no weight ladder")
-        cum = self.weights.cumsum()
-        np.minimum(cum, 1.0, out=cum)
-        cum[-1] = 1.0
-        cum.flags.writeable = False
-        return cum
+        return _rungs(self.weights)
 
     # -- the two fundamental maps -------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D, _adopt, _comonotone_path, _order, _owned, _reals, _weights
+from .distributions import Distribution1D, _adopt, _comonotone_path, _order, _owned, _reals, _rungs, _weights
 from .errors import (
     CapacityError,
     CertificationError,
@@ -276,13 +276,13 @@ def _staircase(instance: TransportInstance, cost: np.ndarray):
     """The comonotone plan of a 1-D instance and potentials that price it.
 
     On sorted atoms this is Hoffman's north-west corner rule for Monge
-    costs: the ``_comonotone_path`` of the two sides' running weight sums.
+    costs: the ``_comonotone_path`` of the two sides' ``_rungs``.
     Its m + n - 1 cells, with a tied rung's cell of width zero, form a
     spanning tree, so u_i + v_j = c_ij on them fixes the potentials.
     """
     rows = instance.mu_points[:, 0].argsort(kind="stable")
     cols = instance.nu_points[:, 0].argsort(kind="stable")
-    i, j, widths = _comonotone_path(instance.mu_weights[rows].cumsum(), instance.nu_weights[cols].cumsum())
+    i, j, widths = _comonotone_path(_rungs(instance.mu_weights[rows]), _rungs(instance.nu_weights[cols]))
     cells = rows[i] * cols.size + cols[j]
     mass = np.zeros(cost.shape)
     mass.put(cells, widths)

@@ -755,6 +755,21 @@ class TestDeterminismAndRoundTrip:
         assert first.stdout == second.stdout
         assert first.stdout  # non-empty
 
+    def test_a_closed_output_pipe_exits_2_without_a_traceback(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("-1\n1\n")
+        grid = ",".join(str(1.0 + k / 100) for k in range(3000))  # a payload far past the pipe's buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "copula_ot", "diagnose-tails", str(path), "--r", "2", "--grid", grid],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV,
+        )
+        assert proc.stdout.read(16)
+        proc.stdout.close()  # the reader leaves, like `| head -2`
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
     def test_json_floats_round_trip(self, capsys, sample_files):
         _, out, _ = run_cli(capsys, "dist1d", *sample_files, "--p", "1.5")
         payload = strict_json(out)

@@ -183,6 +183,12 @@ def test_nan_copula_argument_is_blamed_on_the_argument():
         M2([0.5, math.nan])
 
 
+@pytest.mark.parametrize("point", [[2.0, 3.0], [-0.25, 0.5], [0.5, math.nan], [math.inf, 0.5]])
+def test_batch_points_live_in_the_unit_hypercube(point):
+    with pytest.raises(CopulaOTError, match="unit hypercube"):
+        M2.batch(np.array([[0.5, 0.5], point]))
+
+
 def test_a_numpy_integer_dim_is_stored_as_an_int():
     c = CopulaFn(np.int64(3), M2.eval_batch)
     assert type(c.dim) is int

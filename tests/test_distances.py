@@ -87,6 +87,16 @@ class TestDistanceReport:
         with pytest.raises(DomainError, match="0 <= lower <= upper"):
             DistanceReport(bracket, p=2.0, q=1.0, method="m")
 
+    @pytest.mark.parametrize("bracket", ["0.5", (1.0,), (1.0, 1.0 + 0j), 1.0, (1.0, 1.0, 1.0)])
+    def test_bracket_that_is_no_pair_of_reals_rejected(self, bracket):
+        with pytest.raises(DomainError, match="bracket_pth_power must be two real numbers"):
+            DistanceReport(bracket, p=1.0, q=1.0, method="m")
+
+    def test_bracket_ends_are_stored_as_floats(self):
+        report = DistanceReport([np.float64(1.0), np.int64(2)], p=2.0, q=1.0, method="m")
+        assert report.bracket_pth_power == (1.0, 2.0)
+        assert all(type(end) is float for end in report.bracket_pth_power)
+
     def test_point_properties(self):
         exact = DistanceReport((4.0, 4.0), p=2.0, q=2.0, method="m")
         assert not exact.is_bracket
