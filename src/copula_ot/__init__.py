@@ -5,93 +5,23 @@ The public surface groups into four layers: one-dimensional measures
 (:mod:`copula_ot.copulas`), the distance representations
 (:mod:`copula_ot.distances`), and the exact LP oracle every closed form is
 checked against (:mod:`copula_ot.oracle`). The ``copula-ot`` CLI exposes
-these over CSV files.
+these over CSV files. Each module's ``__all__`` is the one list of its public
+names; the package re-exports them, and the errors of :mod:`copula_ot.errors`,
+in that order.
 """
 
-from .distributions import (
-    Distribution1D,
-    from_atoms,
-    from_quantile,
-    from_samples,
-    tail_decay_diagnostic,
-)
-from .copulas import (
-    CopulaFn,
-    JointCDF,
-    ValidationReport,
-    built_in_copula,
-    comonotone_joint_2d,
-    comonotonicity_copula,
-    coupling_from_joint,
-    independence_copula,
-    lower_frechet_bound,
-    validate_copula,
-)
-from .distances import (
-    DistanceReport,
-    comonotone_expectation,
-    dall_aglio_functional,
-    w1_cdf_area,
-    wasserstein_1d,
-    wasserstein_shared_copula,
-)
-from .oracle import (
-    DiscreteCoupling,
-    TransportInstance,
-    TransportSolution,
-    enumerate_extreme_couplings,
-    monotone_plan_1d,
-    solve_exact,
-    transport_cost,
-)
-from .errors import (
-    CapacityError,
-    CertificationError,
-    ConstructionError,
-    CopulaOTError,
-    DivergenceError,
-    DomainError,
-    InvalidJointError,
-    PreconditionError,
-)
+from . import copulas, distances, distributions, errors, oracle
+from .distributions import *
+from .copulas import *
+from .distances import *
+from .oracle import *
+from .errors import *
 
-__all__ = [
-    "Distribution1D",
-    "from_samples",
-    "from_atoms",
-    "from_quantile",
-    "tail_decay_diagnostic",
-    "CopulaFn",
-    "JointCDF",
-    "ValidationReport",
-    "comonotonicity_copula",
-    "lower_frechet_bound",
-    "independence_copula",
-    "built_in_copula",
-    "validate_copula",
-    "comonotone_joint_2d",
-    "coupling_from_joint",
-    "DistanceReport",
-    "wasserstein_1d",
-    "w1_cdf_area",
-    "comonotone_expectation",
-    "dall_aglio_functional",
-    "wasserstein_shared_copula",
-    "DiscreteCoupling",
-    "TransportInstance",
-    "TransportSolution",
-    "solve_exact",
-    "enumerate_extreme_couplings",
-    "monotone_plan_1d",
-    "transport_cost",
-    "CopulaOTError",
-    "ConstructionError",
-    "DomainError",
-    "PreconditionError",
-    "DivergenceError",
-    "CapacityError",
-    "InvalidJointError",
-    "CertificationError",
-]
+__all__: list[str] = []
+__all__ += distributions.__all__
+__all__ += copulas.__all__
+__all__ += distances.__all__
+__all__ += oracle.__all__
+__all__ += errors.__all__
 
 __version__ = "0.1.0"

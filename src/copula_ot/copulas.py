@@ -18,12 +18,12 @@ import numpy as np
 
 from .distributions import Distribution1D, _box_volumes, _count, _reals
 from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
-from .oracle import TOTAL_MASS_TOL, DiscreteCoupling
+# MAX_LATTICE_POINTS, validate_copula's budget, stays importable from here
+from .oracle import MAX_LATTICE_POINTS, TOTAL_MASS_TOL, DiscreteCoupling, _lattice_guard  # noqa: F401
 
 __all__ = [
     "CopulaFn",
     "JointCDF",
-    "AxiomCheck",
     "ValidationReport",
     "comonotonicity_copula",
     "lower_frechet_bound",
@@ -40,12 +40,6 @@ AXIOM_TOL = 1e-12
 
 # Grid boxes scale as resolution^dim with 2^dim corners each.
 MAX_VALIDATION_DIM = 10
-
-# validate_copula refuses lattices with more points than this. Each point
-# costs two rows of dim floats (the meshgrid and its stacked copy), so the
-# largest admitted lattice, 7^8 points at dim 8 and the default resolution,
-# takes under 1 GB.
-MAX_LATTICE_POINTS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -186,20 +180,22 @@ def validate_copula(c: CopulaFn, grid_resolution: int | None = None) -> Validati
     computed by d-fold finite differencing of the lattice values, which is
     the inclusion-exclusion sum over the 2^d corners of each box. All three
     checks read one ``batch`` call: the ticks end at 1, so margins are lines.
+    Lattices of more than ``MAX_LATTICE_POINTS`` points raise ``CapacityError``.
     """
     if c.dim > MAX_VALIDATION_DIM:
         raise CapacityError(f"validation guard: dim {c.dim} > {MAX_VALIDATION_DIM}")
     resolution = default_resolution(c.dim) if grid_resolution is None else grid_resolution
     resolution = _count(resolution, "grid resolution", 2)
-    if (resolution + 1) ** c.dim > MAX_LATTICE_POINTS:
-        raise CapacityError(
-            f"validation guard: a lattice of {resolution + 1}^{c.dim} points exceeds "
-            f"the budget of {MAX_LATTICE_POINTS}"
-        )
-    ticks = np.linspace(0.0, 1.0, resolution + 1)
-    axes = np.meshgrid(*([ticks] * c.dim), indexing="ij")
-    points = np.stack([a.ravel() for a in axes], axis=1)
-    values = c.batch(points).reshape((resolution + 1,) * c.dim)
+    side = resolution + 1
+    _lattice_guard(side**c.dim, f"{side}^{c.dim}", "validation")
+    ticks = np.linspace(0.0, 1.0, side)
+    # the lattice in C order, as one (side, ..., side, dim) array: coordinate
+    # `axis` of every point is the tick of its index on that axis
+    points = np.empty((side,) * c.dim + (c.dim,))
+    for axis in range(c.dim):
+        points[..., axis] = ticks.reshape((side,) + (1,) * (c.dim - 1 - axis))
+    points = points.reshape(-1, c.dim)
+    values = c.batch(points).reshape((side,) * c.dim)
 
     grounded = _check_grounded(points, values.ravel())
     margins = _check_margins(values, ticks)
@@ -301,7 +297,8 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
     (from floating cancellation) are clamped to zero; a materially negative
     volume means h was not 2-increasing over these margins. Both margins must
     match the weights within ``TOTAL_MASS_TOL``, and nonempty rows are then
-    rescaled to the first margin exactly.
+    rescaled to the first margin exactly. Plans of more than
+    ``MAX_LATTICE_POINTS`` cells raise ``CapacityError``.
     """
     if h.dim != 2:
         raise DomainError("coupling extraction needs a 2-dimensional joint")
@@ -310,6 +307,7 @@ def coupling_from_joint(h: JointCDF) -> DiscreteCoupling:
         raise DomainError("coupling extraction needs discrete margins")
     xs = f.atoms
     ys = g.atoms
+    _lattice_guard(xs.size * ys.size, f"{xs.size} x {ys.size}", "coupling")
     uv = np.empty((xs.size, ys.size, 2))
     uv[..., 0], uv[..., 1] = f.cumulative_weights[:, None], g.cumulative_weights
     lattice = np.zeros((xs.size + 1, ys.size + 1))

@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked, _real
 from .distributions import _box_volumes, _merge
 from .errors import DomainError, PreconditionError
-from .oracle import DiscreteCoupling, _ground_cost
+from .oracle import DiscreteCoupling, _cost_orders, _ground_cost
 
 __all__ = [
     "DistanceReport",
@@ -50,29 +50,32 @@ class DistanceReport:
     point and ``value`` its p-th root, W_p. When q differs from p no exact
     representation exists, the interval is a norm-equivalence bracket and
     both point properties are None. Shared-copula reports also carry the
-    per-coordinate W_p^p terms in ``per_coordinate_pth_power``. The
-    interval is read as two reals, as ``float`` reads them; anything else, or
-    an end that is not finite (it overflowed), is a ``DomainError``.
+    per-coordinate W_p^p terms in ``per_coordinate_pth_power``. The orders
+    p and q go through the one (p, q) rule of every door, q None meaning p,
+    and the interval is read as two reals, as ``float`` reads them; anything
+    else, or an end that is not finite (it overflowed), is a ``DomainError``.
     """
 
     bracket_pth_power: tuple[float, float]
     p: float
-    q: float
+    q: float | None
     method: str
     error_bound: float = 0.0
     per_coordinate_pth_power: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        p, q = _cost_orders(self.p, self.q)  # first: the overflow message formats p
         try:
             lower, upper = (_real(end, "a bracket end") for end in self.bracket_pth_power)
         except (TypeError, ValueError):  # not iterable, not two ends, or an end no real number
             raise DomainError(f"bracket_pth_power must be two real numbers, got {self.bracket_pth_power!r}") from None
-        object.__setattr__(self, "bracket_pth_power", (lower, upper))
+        for field, value in (("bracket_pth_power", (lower, upper)), ("p", p), ("q", q)):
+            object.__setattr__(self, field, value)
         if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise DomainError(f"W_p^p at order p = {self.p:g} overflows double precision")
+            raise DomainError(f"W_p^p at order p = {p:g} overflows double precision")
         if not 0.0 <= lower <= upper:
             raise DomainError("a W_p^p interval needs 0 <= lower <= upper")
-        if self.q == self.p and lower != upper:
+        if q == p and lower != upper:
             raise DomainError("at q = p W_p^p is exact: the interval's ends must meet")
 
     @property
@@ -257,8 +260,7 @@ def wasserstein_shared_copula(
 
     At q = p, k = 1 and the bracket is the point (S, S).
     """
-    p = _order(p, "Wasserstein order p")
-    q = p if q is None else _order(q, "norm order q")
+    p, q = _cost_orders(p, q)
     f_margins = tuple(f_margins)
     g_margins = tuple(g_margins)
     if len(f_margins) != len(g_margins) or not f_margins:

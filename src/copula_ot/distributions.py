@@ -28,8 +28,6 @@ __all__ = [
     "from_atoms",
     "from_quantile",
     "tail_decay_diagnostic",
-    "QUANTILE_TIE_TOL",
-    "QUAD_EPS",
 ]
 
 # Cumulative sums of floating weights drift near exact ladder boundaries;

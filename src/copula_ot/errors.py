@@ -1,5 +1,16 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "CopulaOTError",
+    "ConstructionError",
+    "DomainError",
+    "PreconditionError",
+    "DivergenceError",
+    "CapacityError",
+    "InvalidJointError",
+    "CertificationError",
+]
+
 
 class CopulaOTError(Exception):
     """Base class for every error raised by this package."""

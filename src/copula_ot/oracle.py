@@ -71,6 +71,20 @@ HIGHS_OPTIONS = {
 # Largest margin size, per side, that enumerate_extreme_couplings accepts.
 MAX_ENUMERATION_SIDE = 4
 
+# Dense lattices with more points than this are refused: validate_copula's
+# grid, whose points are one array of dim floats each, and the m x n plans of
+# monotone_plan_1d and coupling_from_joint, which hold a few floats per cell.
+# The points of the largest admitted grid, 7^8 at dim 8 and the default
+# resolution, take about 370 MB; coupling_from_joint's largest plan peaks near 250 MB.
+MAX_LATTICE_POINTS = 6_000_000
+
+
+def _lattice_guard(points: int, shape: str, who: str) -> None:
+    """``CapacityError`` if a dense lattice of ``points`` points, ``shape`` in
+    words, is past ``MAX_LATTICE_POINTS``: checked before it is allocated."""
+    if points > MAX_LATTICE_POINTS:
+        raise CapacityError(f"{who} guard: a lattice of {shape} points exceeds the budget of {MAX_LATTICE_POINTS}")
+
 
 def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
     """Coerce scalars / flat lists / (k, d) arrays into an owned (k, d) float array."""
@@ -160,7 +174,7 @@ class TransportInstance:
         for pts, w, name in ((mp, mw, "mu"), (npts, nw, "nu")):
             if w.size != pts.shape[0]:
                 raise ConstructionError(f"{name} weights do not match its atoms")
-        p, q = _cost_orders(self.p, self.q)
+        p, q = _cost_orders(self.p, self.q, ConstructionError)
         fields = {"mu_points": mp, "mu_weights": mw, "nu_points": npts, "nu_weights": nw, "p": p, "q": q}
         for field, value in fields.items():
             object.__setattr__(self, field, value)
@@ -177,7 +191,7 @@ class TransportInstance:
         atoms (as (k, 1) views) and weights without copying them."""
         if not (mu.is_discrete and nu.is_discrete):
             raise DomainError("the oracle only handles discrete measures")
-        p, q = _cost_orders(p, q)
+        p, q = _cost_orders(p, q, ConstructionError)
         return _adopt(
             cls,
             mu_points=mu.atoms[:, None],
@@ -193,10 +207,11 @@ class TransportInstance:
         return _ground_cost(self.mu_points, self.nu_points, self.p, self.q)
 
 
-def _cost_orders(p: float, q: float | None) -> tuple[float, float]:
-    """A transport instance's (p, q), q defaulting to p."""
-    p = _order(p, "cost order p", error=ConstructionError)
-    return p, p if q is None else _order(q, "norm order q", error=ConstructionError)
+def _cost_orders(p: float, q: float | None, error: type[Exception] = DomainError) -> tuple[float, float]:
+    """The one rule on a cost's orders (p, q), q defaulting to p: each an
+    ``_order``, or ``error``."""
+    p = _order(p, "cost order p", error=error)
+    return p, p if q is None else _order(q, "norm order q", error=error)
 
 
 class TransportSolution(NamedTuple):
@@ -226,8 +241,7 @@ def _ground_cost(x: np.ndarray, y: np.ndarray, p: float, q: float) -> np.ndarray
 
 def transport_cost(coupling: DiscreteCoupling, p: float, q: float | None = None) -> float:
     """Direct plan cost: sum of mass times ||x_i - y_j||_q ** p."""
-    p = _order(p, "cost order p")
-    q = p if q is None else _order(q, "norm order q")
+    p, q = _cost_orders(p, q)
     cost = _ground_cost(coupling.row_points, coupling.col_points, p, q)
     return float((coupling.mass * cost).sum())
 
@@ -330,9 +344,11 @@ def monotone_plan_1d(mu: Distribution1D, nu: Distribution1D) -> DiscreteCoupling
     """Comonotone coupling of two discrete measures on R, the joint law of
     (F^{-1}(U), G^{-1}(U)): each cell of their ``_comonotone_path`` carries
     its width. It is bitwise the plan ``solve_exact`` certifies for them.
+    Plans of more than ``MAX_LATTICE_POINTS`` cells raise ``CapacityError``.
     """
     if not (mu.is_discrete and nu.is_discrete):
         raise DomainError("monotone_plan_1d needs discrete measures")
+    _lattice_guard(mu.atoms.size * nu.atoms.size, f"{mu.atoms.size} x {nu.atoms.size}", "plan")
     i, j, widths = _comonotone_path(mu.cumulative_weights, nu.cumulative_weights)
     mass = np.zeros((mu.atoms.size, nu.atoms.size))
     mass[i, j] = widths

@@ -7,8 +7,9 @@ value. The kinds a door lists as accepted must return a value; every other
 kind must raise a ``CopulaOTError`` subclass, never a bare ``ValueError`` or
 ``TypeError``, and never a ``ComplexWarning`` or other ``RuntimeWarning``.
 Values that user evaluators return are swept the same way: none of the bad
-returns may pass. Result records (``DistanceReport``, ``ValidationReport``,
-``TransportSolution``) are what the library returns, not doors.
+returns may pass. Result records (``ValidationReport``, ``TransportSolution``)
+are what the library returns, not doors; ``DistanceReport``'s orders are one,
+since every (p, q) door shares their rule.
 """
 
 import math
@@ -21,6 +22,7 @@ from copula_ot import (
     CopulaFn,
     CopulaOTError,
     DiscreteCoupling,
+    DistanceReport,
     Distribution1D,
     JointCDF,
     TransportInstance,
@@ -107,6 +109,8 @@ DOORS = {
     "dall_aglio_functional p": (lambda v: dall_aglio_functional(PLAN, v), {"non-integral"}),
     "wasserstein_shared_copula p": (lambda v: wasserstein_shared_copula([D], [D], v), REAL),
     "wasserstein_shared_copula q": (lambda v: wasserstein_shared_copula([D], [D], 2.0, v), OPTIONAL_REAL),
+    "DistanceReport p": (lambda v: DistanceReport((1.0, 1.0), v, 2.0, "m"), REAL),
+    "DistanceReport q": (lambda v: DistanceReport((1.0, 1.0), 2.0, v, "m"), OPTIONAL_REAL),
     "transport_cost p": (lambda v: transport_cost(PLAN, v), REAL),
     "transport_cost q": (lambda v: transport_cost(PLAN, 2.0, v), OPTIONAL_REAL),
     "TransportInstance points": (lambda v: TransportInstance(v, W, [0.0, 1.0], W), set()),

@@ -92,6 +92,26 @@ class TestDistanceReport:
         with pytest.raises(DomainError, match="bracket_pth_power must be two real numbers"):
             DistanceReport(bracket, p=1.0, q=1.0, method="m")
 
+    @pytest.mark.parametrize(
+        "bracket, p, q, message",
+        [
+            # the orders are checked first: the overflow message formats p
+            ((math.inf, math.inf), "x", "x", "cost order p must be a real number"),
+            ((1.0, 1.0), "x", "x", "cost order p must be a real number"),
+            # q None means p, so the report is exact and its ends must meet
+            ((1.0, 2.0), 2.0, None, "ends must meet"),
+        ],
+        ids=["overflowing", "exact", "q None"],
+    )
+    def test_orders_go_through_the_cost_order_rule(self, bracket, p, q, message):
+        with pytest.raises(DomainError, match=message):
+            DistanceReport(bracket, p, q, "m")
+
+    def test_orders_are_stored_as_floats(self):
+        report = DistanceReport((4.0, 4.0), np.int64(2), None, "m")
+        assert (report.p, report.q, report.value) == (2.0, 2.0, 2.0)
+        assert type(report.p) is float and type(report.q) is float
+
     def test_bracket_ends_are_stored_as_floats(self):
         report = DistanceReport([np.float64(1.0), np.int64(2)], p=2.0, q=1.0, method="m")
         assert report.bracket_pth_power == (1.0, 2.0)

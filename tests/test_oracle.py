@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -753,6 +754,21 @@ class TestMonotonePlan:
             merged = monotone_plan_1d(f, g)
             extracted = coupling_from_joint(comonotone_joint_2d(f, g))
             assert np.allclose(merged.mass, extracted.mass, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [monotone_plan_1d, lambda f, g: coupling_from_joint(comonotone_joint_2d(f, g))],
+        ids=["monotone_plan_1d", "coupling_from_joint"],
+    )
+    def test_plan_past_the_lattice_budget_is_refused(self, build):
+        # 2450 x 2450 = 6,002,500 cells: the check runs before the dense plan
+        # is allocated, so even a pair far too large for memory is refused at once
+        f = uniform(np.arange(2450.0))
+        assert f.n_atoms**2 > oracle.MAX_LATTICE_POINTS
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="a lattice of 2450 x 2450 points exceeds the budget of 6000000"):
+            build(f, f)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGroundCost:

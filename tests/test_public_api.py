@@ -1,9 +1,11 @@
 """The public names resolve, and the benchmark's hooks still find theirs.
 
-``perfbench/`` calls the package through its namespace and wraps some of
-its functions and methods by name, so deleting or renaming one of them
-breaks the benchmark. These tests run its desk op under its tracer, and
-its CLI op through the check that its CLI workloads apply.
+The package's surface is its modules' ``__all__`` lists, re-exported in
+order; it is pinned here name by name. ``perfbench/`` calls the package
+through its namespace and wraps some of its functions and methods by name,
+so deleting or renaming one of them breaks the benchmark. These tests run
+its desk op under its tracer, and its CLI op through the check that its CLI
+workloads apply.
 """
 
 import importlib
@@ -19,9 +21,71 @@ MODULES = [
     "copula_ot.copulas",
     "copula_ot.distances",
     "copula_ot.oracle",
+    "copula_ot.errors",
 ]
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the 36 public names of the package, in the order of its modules' lists
+PUBLIC = [
+    "Distribution1D",
+    "from_samples",
+    "from_atoms",
+    "from_quantile",
+    "tail_decay_diagnostic",
+    "CopulaFn",
+    "JointCDF",
+    "ValidationReport",
+    "comonotonicity_copula",
+    "lower_frechet_bound",
+    "independence_copula",
+    "built_in_copula",
+    "validate_copula",
+    "comonotone_joint_2d",
+    "coupling_from_joint",
+    "DistanceReport",
+    "wasserstein_1d",
+    "w1_cdf_area",
+    "comonotone_expectation",
+    "dall_aglio_functional",
+    "wasserstein_shared_copula",
+    "DiscreteCoupling",
+    "TransportInstance",
+    "TransportSolution",
+    "solve_exact",
+    "enumerate_extreme_couplings",
+    "monotone_plan_1d",
+    "transport_cost",
+    "CopulaOTError",
+    "ConstructionError",
+    "DomainError",
+    "PreconditionError",
+    "DivergenceError",
+    "CapacityError",
+    "InvalidJointError",
+    "CertificationError",
+]
+SOURCES = [
+    importlib.import_module(f"copula_ot.{name}")
+    for name in ("distributions", "copulas", "distances", "oracle", "errors")
+]
+
+
+def test_the_surface_is_pinned():
+    assert copula_ot.__all__ == PUBLIC
+
+
+def test_the_surface_is_the_module_lists_in_order():
+    joined = [name for module in SOURCES for name in module.__all__]
+    assert copula_ot.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=lambda m: m.__name__)
+def test_each_package_name_is_its_module_object(module):
+    # the benchmark's tracer swaps functions by identity in every module
+    for name in module.__all__:
+        assert getattr(copula_ot, name) is getattr(module, name), name
 
 
 @pytest.mark.parametrize("module", MODULES)
