@@ -210,11 +210,12 @@ def validate_copula(c: CopulaFn, grid_resolution: int | None = None) -> Validati
 
 
 def _check_grounded(points: np.ndarray, values: np.ndarray) -> AxiomCheck:
-    on_face = np.any(points == 0.0, axis=1)
-    deviation = np.abs(values[on_face])
+    face = np.flatnonzero(np.any(points == 0.0, axis=1))  # read by index: no copy of the face points
+    deviation = values[face]
+    np.abs(deviation, out=deviation)  # in place: no second face-sized array
     worst = float(deviation.max()) if deviation.size else 0.0
-    worst_first = np.argsort(deviation)[::-1][:5] if worst > AXIOM_TOL else []
-    witnesses = [(tuple(points[on_face][k]), float(values[on_face][k])) for k in worst_first]
+    worst_first = face[np.argsort(deviation)[::-1][:5]] if worst > AXIOM_TOL else []
+    witnesses = [(tuple(points[k]), float(values[k])) for k in worst_first]
     return AxiomCheck("grounded", worst <= AXIOM_TOL, worst, tuple(witnesses))
 
 

@@ -5,8 +5,9 @@ quantile integral of |F^{-1} - G^{-1}|^p, the CDF area for p = 1, the
 double-integral functional I(H) minimized by the comonotone joint, and the
 expectation of the cost along the comonotone path. For measures on R^d that
 share a copula, the p-th power is coordinate-additive. Each form is
-implemented here; the discrete paths are exact (no quadrature), which is
-what lets the test suite pin them against the LP oracle at 1e-9.
+implemented here; the discrete paths take no quadrature (an exact walk,
+whose sums are rounded in floating point), which is what lets the test
+suite pin them against the LP oracle at 1e-9.
 
 Every report stores W_p^p as an interval, whose ends meet when the value is
 exact: the formulas naturally produce the p-th power, and silent p-th roots
@@ -24,7 +25,7 @@ import numpy as np
 from .distributions import Distribution1D, QUAD_EPS, _comonotone_integral, _order, _quad_checked, _real
 from .distributions import _box_volumes, _merge
 from .errors import DomainError, PreconditionError
-from .oracle import DiscreteCoupling, _cost_orders, _ground_cost
+from .oracle import DiscreteCoupling, _cost_orders, _ground_cost, _lattice_guard
 
 __all__ = [
     "DistanceReport",
@@ -54,6 +55,8 @@ class DistanceReport:
     p and q go through the one (p, q) rule of every door, q None meaning p,
     and the interval is read as two reals, as ``float`` reads them; anything
     else, or an end that is not finite (it overflowed), is a ``DomainError``.
+    ``error_bound`` is read as one real >= 0, +inf meaning unbounded; anything
+    else is a ``DomainError`` that names it.
     """
 
     bracket_pth_power: tuple[float, float]
@@ -69,7 +72,10 @@ class DistanceReport:
             lower, upper = (_real(end, "a bracket end") for end in self.bracket_pth_power)
         except (TypeError, ValueError):  # not iterable, not two ends, or an end no real number
             raise DomainError(f"bracket_pth_power must be two real numbers, got {self.bracket_pth_power!r}") from None
-        for field, value in (("bracket_pth_power", (lower, upper)), ("p", p), ("q", q)):
+        bound = _real(self.error_bound, "error_bound must be a real number")
+        if not bound >= 0.0:  # NaN fails too; +inf means unbounded
+            raise DomainError(f"error_bound must be >= 0, got {self.error_bound!r}")
+        for field, value in (("bracket_pth_power", (lower, upper)), ("p", p), ("q", q), ("error_bound", bound)):
             object.__setattr__(self, field, value)
         if not (math.isfinite(lower) and math.isfinite(upper)):
             raise DomainError(f"W_p^p at order p = {p:g} overflows double precision")
@@ -212,7 +218,8 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     |x-y|^(p-2) off the diagonal, and the two triangles 2 * width^p on it.
     ``weight`` is G - H below the diagonal (x > y), F - H above it, and their
     mean on it, where the half-planes meet. This stays finite for 1 < p < 2,
-    where the integrand is singular on the diagonal but integrable.
+    where the integrand is singular on the diagonal but integrable. Grids of
+    more than ``MAX_LATTICE_POINTS`` cells raise ``CapacityError``.
     """
     p = _order(p, "order p of the double-integral identity", strict=True)
     if coupling.dim != 1:
@@ -223,6 +230,7 @@ def dall_aglio_functional(coupling: DiscreteCoupling, p: float) -> float:
     xs = coupling.row_points.ravel()[rows]
     ys = coupling.col_points.ravel()[cols]
     grid, xi, yi = _grid(xs, ys)
+    _lattice_guard(grid.size**2, f"{grid.size} x {grid.size}", "functional")
 
     # Joint and margin CDFs on the merged lattice. padded[i, j] is the mass
     # of the first i sorted row points and the first j sorted column points.

@@ -9,7 +9,7 @@ kind must raise a ``CopulaOTError`` subclass, never a bare ``ValueError`` or
 Values that user evaluators return are swept the same way: none of the bad
 returns may pass. Result records (``ValidationReport``, ``TransportSolution``)
 are what the library returns, not doors; ``DistanceReport``'s orders are one,
-since every (p, q) door shares their rule.
+since every (p, q) door shares their rule, and so is its ``error_bound``.
 """
 
 import math
@@ -111,6 +111,7 @@ DOORS = {
     "wasserstein_shared_copula q": (lambda v: wasserstein_shared_copula([D], [D], 2.0, v), OPTIONAL_REAL),
     "DistanceReport p": (lambda v: DistanceReport((1.0, 1.0), v, 2.0, "m"), REAL),
     "DistanceReport q": (lambda v: DistanceReport((1.0, 1.0), 2.0, v, "m"), OPTIONAL_REAL),
+    "DistanceReport error_bound": (lambda v: DistanceReport((1.0, 1.0), 2.0, 2.0, "m", v), REAL | {"inf"}),
     "transport_cost p": (lambda v: transport_cost(PLAN, v), REAL),
     "transport_cost q": (lambda v: transport_cost(PLAN, 2.0, v), OPTIONAL_REAL),
     "TransportInstance points": (lambda v: TransportInstance(v, W, [0.0, 1.0], W), set()),

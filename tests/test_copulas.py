@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,25 @@ class TestValidation:
         for point, value in check.witnesses:
             assert min(point) == 0.0
             assert value == blend(point)
+
+    def test_grounded_witnesses_are_read_in_place(self):
+        # M + 0.1 is 0.1 on every face of the 7^7 lattice: the five witnesses
+        # are pinned, and reading them costs no copy of the face points
+        m = comonotonicity_copula(7)
+        shifted = CopulaFn(dim=7, eval_batch=lambda pts: m.eval_batch(pts) + 0.1)
+        peaks = []
+        for c in (m, shifted):
+            tracemalloc.start()
+            try:
+                check = validate_copula(c).grounded
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        ticks = np.linspace(0.0, 1.0, 7)
+        assert not check.passed and check.worst == 0.1
+        assert check.witnesses == tuple(((1.0,) * 5 + (ticks[k], 0.0), 0.1) for k in (6, 5, 4, 3, 2))
+        # a copy of the face points per witness would raise the peak by half
+        assert peaks[1] < 1.15 * peaks[0]
 
     def test_broken_margin_detected(self):
         squashed = CopulaFn(dim=2, eval_batch=lambda pts: 0.5 * pts.min(axis=1))
@@ -312,6 +332,15 @@ class TestCouplingFromJoint:
         g = from_atoms([0.0, 5.0], [0.6, 0.4])
         with pytest.raises(InvalidJointError, match="first margin"):
             coupling_from_joint(JointCDF(scaled, [f, g]))
+
+    def test_joint_that_breaks_only_its_second_margin_rejected(self):
+        # u v^2 is grounded and 2-increasing with C(u, 1) = u, so the rows
+        # keep f's weights; the columns sum to G^2 increments, not g's weights
+        squared = CopulaFn(dim=2, eval_batch=lambda pts: pts[:, 0] * pts[:, 1] ** 2)
+        f = from_atoms([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+        g = from_atoms([0.0, 1.0], [0.4, 0.6])
+        with pytest.raises(InvalidJointError, match="joint does not reproduce its second margin"):
+            coupling_from_joint(JointCDF(squared, [f, g]))
 
     @pytest.mark.parametrize("eps", [1e-17, 1e-20])
     def test_absorbed_weight_leaves_an_empty_row(self, eps):

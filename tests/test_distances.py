@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from copula_ot import (
+    CapacityError,
     ConstructionError,
     DiscreteCoupling,
     DistanceReport,
@@ -28,6 +29,7 @@ from copula_ot import (
     wasserstein_1d,
     wasserstein_shared_copula,
 )
+from copula_ot import oracle
 
 from helpers import comonotone_support, random_discrete, relative_gap, uniform_with_nan_hole
 
@@ -116,6 +118,17 @@ class TestDistanceReport:
         report = DistanceReport([np.float64(1.0), np.int64(2)], p=2.0, q=1.0, method="m")
         assert report.bracket_pth_power == (1.0, 2.0)
         assert all(type(end) is float for end in report.bracket_pth_power)
+
+    @pytest.mark.parametrize("bound", ["x", math.nan, -1.0, None], ids=["string", "nan", "negative", "None"])
+    def test_error_bound_is_a_nonnegative_real(self, bound):
+        with pytest.raises(DomainError, match="error_bound"):
+            DistanceReport((1.0, 1.0), 1.0, 1.0, "m", bound)
+
+    def test_error_bound_is_stored_as_a_float(self):
+        # +inf is a bound too: it means unbounded
+        for bound, stored in ((np.int64(0), 0.0), (np.float32(0.5), 0.5), (math.inf, math.inf)):
+            report = DistanceReport((1.0, 1.0), 1.0, 1.0, "m", bound)
+            assert report.error_bound == stored and type(report.error_bound) is float
 
     def test_point_properties(self):
         exact = DistanceReport((4.0, 4.0), p=2.0, q=2.0, method="m")
@@ -407,6 +420,22 @@ class TestDallAglioFunctional:
         assert dall_aglio_functional(plan, 1.5) == pytest.approx(1e300, rel=1e-9)
         with pytest.raises(DomainError, match="order p = 2 overflows double precision"):
             dall_aglio_functional(plan, 2.0)
+
+    def test_grid_past_the_lattice_budget_is_refused(self):
+        # 2450 distinct points make 2450 x 2450 = 6,002,500 cells, checked
+        # before the kernel's arrays are allocated; the plan itself is small
+        n = 2450
+        plan = DiscreteCoupling(np.arange(float(n)), [0.0], np.full((n, 1), 1 / n))
+        with pytest.raises(CapacityError, match="a lattice of 2450 x 2450 points exceeds the budget of 6000000"):
+            dall_aglio_functional(plan, 2.0)
+
+    def test_lattice_budget_counts_the_merged_grid(self, monkeypatch):
+        # 3 x 3 cells fit a budget of 9; a fourth distinct point does not
+        monkeypatch.setattr(oracle, "MAX_LATTICE_POINTS", 9)
+        mass = [[0.5, 0.0], [0.0, 0.5]]
+        assert dall_aglio_functional(DiscreteCoupling([0.0, 1.0], [1.0, 2.0], mass), 2.0) == pytest.approx(1.0)
+        with pytest.raises(CapacityError, match="4 x 4"):
+            dall_aglio_functional(DiscreteCoupling([0.0, 1.0], [2.0, 3.0], mass), 2.0)
 
     @given(couplings(), st.sampled_from([1.2, 1.5, 2.0, 2.5, 3.0]))
     # shared atoms put mass on diagonal cells, where the two half-planes meet
