@@ -25,15 +25,9 @@ import numpy as np
 
 from .copulas import built_in_copula, validate_copula
 from .distances import w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
-from .distributions import _order, from_samples, tail_decay_diagnostic
+from .distributions import Distribution1D, _order, from_samples, tail_decay_diagnostic
 from .errors import CapacityError, CopulaOTError
-from .oracle import (
-    TransportInstance,
-    enumerate_extreme_couplings,
-    monotone_plan_1d,
-    solve_exact,
-    transport_cost,
-)
+from .oracle import TransportInstance, enumerate_extreme_couplings, solve_exact, transport_cost
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -42,7 +36,6 @@ EXIT_MISSING_HYPOTHESIS = 3
 EXIT_CAPACITY = 4
 
 DEFAULT_TOLERANCE = 1e-8
-TOLERANCE_ENV_VAR = "COPULA_OT_TOLERANCE"
 
 SHARED_COPULA_HYPOTHESIS = (
     "refusing to run: multi-dimensional coordinate additivity holds only when "
@@ -57,6 +50,10 @@ CONTRADICTED_HYPOTHESIS = (
 
 class InputError(CopulaOTError):
     """Unparseable or structurally invalid CLI input."""
+
+
+class MissingHypothesis(CopulaOTError):
+    """Raised when a command needs an explicit hypothesis flag."""
 
 
 _CSV_FORMAT = {"delimiter": ",", "comments": None, "ndmin": 2, "dtype": float}
@@ -158,20 +155,15 @@ def read_csv_columns(path: str, expect_cols: int | None = None) -> np.ndarray:
     return data
 
 
+def _samples(path: str) -> Distribution1D:
+    """The empirical measure of a one-column sample file."""
+    return from_samples(read_csv_columns(path, expect_cols=1).ravel())
+
+
 def _tolerance(args: argparse.Namespace) -> float:
-    if args.tolerance is not None:
-        value, source = args.tolerance, "--tolerance"
-    elif (env := os.environ.get(TOLERANCE_ENV_VAR)) is not None:
-        source = f"{TOLERANCE_ENV_VAR}={env!r}"
-        try:
-            value = float(env)
-        except ValueError:
-            raise InputError(f"{source} is not a number") from None
-    else:
-        return DEFAULT_TOLERANCE
-    if not (math.isfinite(value) and value >= 0.0):
-        raise InputError(f"{source} must be finite and >= 0, got {value}")
-    return value
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    return args.tolerance
 
 
 def _relative_gap(a: float, b: float) -> float:
@@ -197,8 +189,7 @@ def _oracle_value(instance: TransportInstance, notices: list[str]) -> float | No
 
 def cmd_dist1d(args: argparse.Namespace) -> tuple[int, dict]:
     tolerance = _tolerance(args)
-    f = from_samples(read_csv_columns(args.file_a, expect_cols=1).ravel())
-    g = from_samples(read_csv_columns(args.file_b, expect_cols=1).ravel())
+    f, g = _samples(args.file_a), _samples(args.file_b)
     notices: list[str] = []
 
     quantile = wasserstein_1d(f, g, args.p)
@@ -236,18 +227,16 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
             f"{args.file_b} has {b.shape[1]}"
         )
     notices: list[str] = []
-    f_margins = [from_samples(a[:, i]) for i in range(a.shape[1])]
-    g_margins = [from_samples(b[:, i]) for i in range(b.shape[1])]
-    q = args.p if args.q is None else args.q
-
-    report = wasserstein_shared_copula(f_margins, g_margins, args.p, q)
+    report = wasserstein_shared_copula(
+        [from_samples(column) for column in a.T], [from_samples(column) for column in b.T], args.p, args.q
+    )
     per_coord = list(report.per_coordinate_pth_power)
     payload: dict = {
         "command": "distnd",
         "inputs": [args.file_a, args.file_b],
         "p": args.p,
-        "q": q,
-        "dimension": len(f_margins),
+        "q": report.q,
+        "dimension": a.shape[1],
         "assumed_hypothesis": "both inputs share the same copula",
         "per_coordinate_w_p_pow_p": per_coord,
         "notices": notices,
@@ -256,7 +245,7 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     # The oracle runs on the rows themselves, so it sees the copulas of the
     # data: when they differ, the LP moves off the shared-copula result.
     instance = TransportInstance(
-        a, np.full(len(a), 1.0 / len(a)), b, np.full(len(b), 1.0 / len(b)), p=args.p, q=q
+        a, np.full(len(a), 1.0 / len(a)), b, np.full(len(b), 1.0 / len(b)), p=args.p, q=report.q
     )
     oracle_value = _oracle_value(instance, notices)
     lower, upper = report.bracket_pth_power
@@ -306,40 +295,34 @@ def cmd_check_copula(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def cmd_oracle_compare(args: argparse.Namespace) -> tuple[int, dict]:
-    f = from_samples(read_csv_columns(args.file_a, expect_cols=1).ravel())
-    g = from_samples(read_csv_columns(args.file_b, expect_cols=1).ravel())
+    f, g = _samples(args.file_a), _samples(args.file_b)
     vertices = enumerate_extreme_couplings(f.weights, g.weights, f.atoms, g.atoms)
-    comonotone = monotone_plan_1d(f, g)
-    comonotone_cost = transport_cost(comonotone, args.p)
+    # on the line the certified plan is the comonotone one, bitwise
     oracle = solve_exact(TransportInstance.from_distributions(f, g, args.p))
     rows = [
         {
             "cost": transport_cost(vertex, args.p),
-            "is_comonotone": bool(np.allclose(vertex.mass, comonotone.mass, atol=1e-12, rtol=0.0)),
+            "is_comonotone": bool(np.allclose(vertex.mass, oracle.plan.mass, atol=1e-12, rtol=0.0)),
         }
         for vertex in vertices
     ]
     rows.sort(key=lambda r: (r["cost"], not r["is_comonotone"]))
-    minimal = all(comonotone_cost <= row["cost"] + 1e-9 for row in rows)
-    agrees = _relative_gap(comonotone_cost, oracle.value) <= 1e-9
+    minimal = all(oracle.value <= row["cost"] + 1e-9 for row in rows)
     payload = {
         "command": "oracle-compare",
         "inputs": [args.file_a, args.file_b],
         "p": args.p,
         "couplings": rows,
-        "comonotone_cost": comonotone_cost,
+        "comonotone_cost": oracle.value,
         "oracle_value": oracle.value,
-        "comonotone_is_minimal": bool(minimal and agrees),
+        "comonotone_is_minimal": minimal,
     }
-    code = EXIT_OK if minimal and agrees else EXIT_DISAGREEMENT
-    return code, payload
+    return (EXIT_OK if minimal else EXIT_DISAGREEMENT), payload
 
 
 def cmd_diagnose_tails(args: argparse.Namespace) -> tuple[int, dict]:
-    samples = read_csv_columns(args.file, expect_cols=1).ravel()
-    dist = from_samples(samples)
     grid = [tok for tok in args.grid.split(",") if tok.strip()]
-    rows = tail_decay_diagnostic(dist, args.r, grid)
+    rows = tail_decay_diagnostic(_samples(args.file), args.r, grid)
     payload = {
         "command": "diagnose-tails",
         "inputs": [args.file],
@@ -349,10 +332,6 @@ def cmd_diagnose_tails(args: argparse.Namespace) -> tuple[int, dict]:
         ],
     }
     return EXIT_OK, payload
-
-
-class MissingHypothesis(CopulaOTError):
-    """Raised when a command needs an explicit hypothesis flag."""
 
 
 # -- output ----------------------------------------------------------------------
@@ -397,54 +376,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    def two_files(name: str, run, help: str, p_default: float) -> argparse.ArgumentParser:
+        p = command(name, run, help)
+        p.add_argument("file_a")
+        p.add_argument("file_b")
+        p.add_argument("--p", type=_positive_order, default=p_default)
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
     def add_tolerance(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tolerance", type=float, default=None,
-                       help=f"method-disagreement tolerance (default {DEFAULT_TOLERANCE}, "
-                            f"or ${TOLERANCE_ENV_VAR})")
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                       help=f"method-disagreement tolerance (default {DEFAULT_TOLERANCE})")
 
-    p1 = sub.add_parser("dist1d", help="distance between two one-column sample files")
-    p1.add_argument("file_a")
-    p1.add_argument("file_b")
-    p1.add_argument("--p", type=_positive_order, default=1.0)
+    p1 = two_files("dist1d", cmd_dist1d, "distance between two one-column sample files", 1.0)
     add_common(p1)
     add_tolerance(p1)
-    p1.set_defaults(run=cmd_dist1d)
 
-    pn = sub.add_parser("distnd", help="coordinate-additive distance between d-column files")
-    pn.add_argument("file_a")
-    pn.add_argument("file_b")
-    pn.add_argument("--p", type=_positive_order, default=1.0)
+    pn = two_files("distnd", cmd_distnd, "coordinate-additive distance between d-column files", 1.0)
     pn.add_argument("--q", type=_positive_order, default=None,
                     help="ground-norm order (default: same as --p)")
     pn.add_argument("--assume-shared-copula", action="store_true",
                     help="declare that both inputs share the same copula")
     add_common(pn)
     add_tolerance(pn)
-    pn.set_defaults(run=cmd_distnd)
 
-    pc = sub.add_parser("check-copula", help="validate a built-in copula on a grid")
+    pc = command("check-copula", cmd_check_copula, "validate a built-in copula on a grid")
     pc.add_argument("label", help="one of M, W, Pi")
     pc.add_argument("--dim", type=int, default=2)
     pc.add_argument("--resolution", type=int, default=None)
     add_common(pc)
-    pc.set_defaults(run=cmd_check_copula)
 
-    po = sub.add_parser("oracle-compare", help="cost table over all extreme couplings")
-    po.add_argument("file_a")
-    po.add_argument("file_b")
-    po.add_argument("--p", type=_positive_order, default=2.0)
-    add_common(po)
-    po.set_defaults(run=cmd_oracle_compare)
+    add_common(two_files("oracle-compare", cmd_oracle_compare, "cost table over all extreme couplings", 2.0))
 
-    pt = sub.add_parser("diagnose-tails", help="tail decay diagnostic along a grid")
+    pt = command("diagnose-tails", cmd_diagnose_tails, "tail decay diagnostic along a grid")
     pt.add_argument("file")
     pt.add_argument("--r", type=float, required=True)
     pt.add_argument("--grid", required=True, help="comma-separated increasing positive reals")
     add_common(pt)
-    pt.set_defaults(run=cmd_diagnose_tails)
     return parser
 
 

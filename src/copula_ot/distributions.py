@@ -299,8 +299,9 @@ class Distribution1D:
         On discrete measures this is the smallest atom whose cumulative
         weight reaches ``u`` within ``QUANTILE_TIE_TOL``; it is
         nondecreasing and left-continuous. Parametric evaluators may return
-        ``inf`` at u == 1 when the support is unbounded above; a return
-        that is NaN or no real number raises ``DomainError`` naming u.
+        ``inf`` at u == 1 when the support is unbounded above; any other
+        infinite return, or one that is NaN or no real number, raises
+        ``DomainError`` naming u.
         """
         u = _real(u, "quantile requires u in (0, 1]")
         if not 0.0 < u <= 1.0:
@@ -309,8 +310,8 @@ class Distribution1D:
             return float(self.atoms[_atom_index(self.cumulative_weights, u)])
         what = f"quantile evaluator returned no real number at u = {u!r}"
         value = _real(self.quantile_fn(u), what)  # type: ignore[misc]
-        if math.isnan(value):
-            raise DomainError(f"quantile evaluator returned nan at u = {u!r}")
+        if not (-math.inf < value < math.inf or (value == math.inf and u == 1.0)):
+            raise DomainError(f"quantile evaluator returned {value!r} at u = {u!r}")
         return value
 
     def quantile_many(self, u: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -91,8 +91,8 @@ def _as_points(points: Sequence | np.ndarray, name: str) -> np.ndarray:
     arr = _owned(points, name)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ConstructionError(f"{name} must be a nonempty list of points")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ConstructionError(f"{name} must be a nonempty list of points with at least one coordinate")
     if not np.isfinite(arr).all():
         raise ConstructionError(f"{name} must contain only finite coordinates")
     return arr

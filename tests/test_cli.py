@@ -1,11 +1,13 @@
 """Tests for the command-line front end: parsing, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,11 +290,13 @@ class TestDist1d:
         assert "non-numeric" in err
         assert "bad.csv:2:" in err
 
-    def test_env_var_tolerance(self, capsys, sample_files, monkeypatch):
-        monkeypatch.setenv("COPULA_OT_TOLERANCE", "0.5")
-        a, b = sample_files
-        _, out, _ = run_cli(capsys, "dist1d", a, b)
-        assert strict_json(out)["tolerance"] == 0.5
+    @pytest.mark.parametrize("value", ["0.5", "abc"])
+    def test_environment_sets_no_tolerance(self, capsys, sample_files, monkeypatch, value):
+        # --tolerance is the one setting, so the environment cannot flip a run's exit code
+        monkeypatch.setenv("COPULA_OT_TOLERANCE", value)
+        code, out, _ = run_cli(capsys, "dist1d", *sample_files)
+        assert code == 0
+        assert strict_json(out)["tolerance"] == 1e-08
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
     def test_invalid_tolerance_flag(self, capsys, sample_files, value):
@@ -300,18 +304,6 @@ class TestDist1d:
         assert code == 2
         assert out == ""
         assert "--tolerance must be finite and >= 0" in err
-
-    @pytest.mark.parametrize(
-        "value, problem",
-        [(value, "must be finite and >= 0") for value in ("nan", "-1", "inf")] + [("abc", "is not a number")],
-        ids=["nan", "-1", "inf", "abc"],
-    )
-    def test_invalid_tolerance_env_var(self, capsys, sample_files, monkeypatch, value, problem):
-        monkeypatch.setenv("COPULA_OT_TOLERANCE", value)
-        code, out, err = run_cli(capsys, "dist1d", *sample_files)
-        assert code == 2
-        assert out == ""
-        assert f"COPULA_OT_TOLERANCE='{value}' {problem}" in err
 
     def test_two_column_file_is_input_error(self, capsys, tmp_path, sample_files):
         wide = tmp_path / "wide.csv"
@@ -782,3 +774,111 @@ class TestDeterminismAndRoundTrip:
         w_p = strict_json(json_out)["w_p"]
         assert f"w_p,{w_p}" in csv_out
         assert f"w_p = {w_p}" in plain_out
+
+
+# Dyadic atoms and weights: every printed value is exact on any CPU.
+PLAIN_INPUTS = {
+    "a.csv": "0\n1\n",
+    "b.csv": "0\n2\n",
+    "four.csv": "0\n0\n1\n3\n",
+    "rows_a.csv": "0,0\n1,1\n",
+    "rows_b.csv": "0,2\n1,3\n",
+    "tails.csv": "-2\n-1\n0.5\n4\n",
+}
+
+PLAIN_OUTPUTS = {
+    ("dist1d", "a.csv", "b.csv"): """\
+command = "dist1d"
+inputs[0] = "a.csv"
+inputs[1] = "b.csv"
+max_method_disagreement = 0.0
+methods.cdf_area = 0.5
+methods.oracle_lp = 0.5
+methods.quantile_integral = 0.5
+p = 1.0
+tolerance = 1e-08
+w_p = 0.5
+w_p_pow_p = 0.5
+""",
+    ("distnd", "rows_a.csv", "rows_b.csv", "--p", "2", "--assume-shared-copula"): """\
+assumed_hypothesis = "both inputs share the same copula"
+command = "distnd"
+dimension = 2
+inputs[0] = "rows_a.csv"
+inputs[1] = "rows_b.csv"
+max_method_disagreement = 0.0
+oracle_lp = 4.0
+p = 2.0
+per_coordinate_w_p_pow_p[0] = 0.0
+per_coordinate_w_p_pow_p[1] = 4.0
+q = 2.0
+tolerance = 1e-08
+w_p = 2.0
+w_p_pow_p = 4.0
+""",
+    ("check-copula", "M", "--resolution", "4"): """\
+axioms.d_increasing.passed = true
+axioms.d_increasing.worst = 0.0
+axioms.grounded.passed = true
+axioms.grounded.worst = 0.0
+axioms.uniform_margins.passed = true
+axioms.uniform_margins.worst = 0.0
+command = "check-copula"
+dim = 2
+label = "M"
+passed = true
+resolution = 4
+""",
+    ("oracle-compare", "a.csv", "four.csv"): """\
+command = "oracle-compare"
+comonotone_cost = 1.0
+comonotone_is_minimal = true
+couplings[0].cost = 1.0
+couplings[0].is_comonotone = true
+couplings[1].cost = 1.5
+couplings[1].is_comonotone = false
+couplings[2].cost = 2.5
+couplings[2].is_comonotone = false
+couplings[3].cost = 3.0
+couplings[3].is_comonotone = false
+inputs[0] = "a.csv"
+inputs[1] = "four.csv"
+oracle_value = 1.0
+p = 2.0
+""",
+    ("diagnose-tails", "tails.csv", "--r", "1", "--grid", "0.5,1,2,4"): """\
+command = "diagnose-tails"
+inputs[0] = "tails.csv"
+r = 1.0
+rows[0].lower_tail_term = 0.25
+rows[0].upper_tail_term = 0.125
+rows[0].x = 0.5
+rows[1].lower_tail_term = 0.5
+rows[1].upper_tail_term = 0.25
+rows[1].x = 1.0
+rows[2].lower_tail_term = 0.5
+rows[2].upper_tail_term = 0.5
+rows[2].x = 2.0
+rows[3].lower_tail_term = 0.0
+rows[3].upper_tail_term = 0.0
+rows[3].x = 4.0
+""",
+}
+
+
+@pytest.mark.parametrize("argv", PLAIN_OUTPUTS, ids=lambda argv: argv[0])
+def test_whole_plain_output(capsys, tmp_path, monkeypatch, argv):
+    for name, text in PLAIN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, "--format", "plain") == (0, PLAIN_OUTPUTS[argv], "")
+
+
+def test_console_scripts_resolve_to_callables():
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"copula-ot": "copula_ot.cli:main"}
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))

@@ -60,6 +60,7 @@ KINDS = {
     "object array": np.array([0.5, None], dtype=object),
     "0-d array": np.array(1.0),
     "empty": [],
+    "no coordinates": np.zeros((2, 0)),  # two points of dimension 0
     "2-D": [[0.5, 0.5]],
     "non-integral": 2.5,
     "huge integer": 10**400,  # past every float; still a count
@@ -76,7 +77,8 @@ MASS = [[0.5, 0.0], [0.0, 0.5]]
 REAL = {"0-d array", "non-integral"}  # an order: 1.0 and 2.5 are orders, the rest are not
 OPTIONAL_REAL = REAL | {"None"}  # an order whose None means "the default"
 
-# door: (call on the value, the kinds it accepts)
+# door: (call on the value, the kinds it accepts); a points door gets the value
+# on both sides, so a dimension mismatch cannot stand in for the points rule
 DOORS = {
     "from_samples samples": (from_samples, {"0-d array", "2-D", "non-integral"}),
     "from_atoms atoms": (lambda v: from_atoms(v, W), {"2-D"}),
@@ -90,11 +92,11 @@ DOORS = {
     "cdf x, parametric": (U01.cdf, REAL | {"inf"}),
     "quantile u, discrete": (D.quantile, {"0-d array"}),
     "quantile u, parametric": (U01.quantile, {"0-d array"}),
-    "quantile_many u, discrete": (D.quantile_many, {"0-d array", "empty", "2-D"}),
-    "quantile_many u, parametric": (U01.quantile_many, {"0-d array", "empty", "2-D"}),
+    "quantile_many u, discrete": (D.quantile_many, {"0-d array", "empty", "no coordinates", "2-D"}),
+    "quantile_many u, parametric": (U01.quantile_many, {"0-d array", "empty", "no coordinates", "2-D"}),
     "p_moment p": (D.p_moment, REAL),
     "tail_decay_diagnostic r": (lambda v: tail_decay_diagnostic(D, v, [1.0]), REAL),
-    "tail_decay_diagnostic grid": (lambda v: tail_decay_diagnostic(D, 1.0, v), REAL | {"empty"}),
+    "tail_decay_diagnostic grid": (lambda v: tail_decay_diagnostic(D, 1.0, v), REAL | {"empty", "no coordinates"}),
     "CopulaFn dim": (lambda v: CopulaFn(v, M2.eval_batch), {"huge integer"}),
     "CopulaFn call u": (M2, set()),
     "CopulaFn batch points": (M2.batch, {"2-D"}),
@@ -114,15 +116,15 @@ DOORS = {
     "DistanceReport error_bound": (lambda v: DistanceReport((1.0, 1.0), 2.0, 2.0, "m", v), REAL | {"inf"}),
     "transport_cost p": (lambda v: transport_cost(PLAN, v), REAL),
     "transport_cost q": (lambda v: transport_cost(PLAN, 2.0, v), OPTIONAL_REAL),
-    "TransportInstance points": (lambda v: TransportInstance(v, W, [0.0, 1.0], W), set()),
+    "TransportInstance points": (lambda v: TransportInstance(v, W, v, W), set()),
     "TransportInstance weights": (lambda v: TransportInstance([0.0, 1.0], v, [0.0, 1.0], W), {"2-D"}),
     "TransportInstance p": (lambda v: TransportInstance([0.0, 1.0], W, [0.0, 1.0], W, v), REAL),
     "TransportInstance q": (lambda v: TransportInstance([0.0, 1.0], W, [0.0, 1.0], W, 2.0, v), OPTIONAL_REAL),
     "TransportInstance.from_distributions p": (lambda v: TransportInstance.from_distributions(D, D, v), REAL),
-    "DiscreteCoupling points": (lambda v: DiscreteCoupling(v, [0.0, 1.0], MASS), set()),
+    "DiscreteCoupling points": (lambda v: DiscreteCoupling(v, v, MASS), set()),
     "DiscreteCoupling mass": (lambda v: DiscreteCoupling([0.0, 1.0], [0.0, 1.0], v), set()),
     "enumerate_extreme_couplings weights": (lambda v: enumerate_extreme_couplings(v, W), {"0-d array", "2-D"}),
-    "enumerate_extreme_couplings points": (lambda v: enumerate_extreme_couplings(W, W, v), {"None"}),
+    "enumerate_extreme_couplings points": (lambda v: enumerate_extreme_couplings(W, W, v, v), {"None"}),
 }
 
 

@@ -13,10 +13,12 @@ from copula_ot import (
     Distribution1D,
     DomainError,
     TransportInstance,
+    comonotone_expectation,
     from_atoms,
     from_quantile,
     from_samples,
     tail_decay_diagnostic,
+    w1_cdf_area,
     wasserstein_1d,
 )
 from copula_ot.distributions import QUANTILE_TIE_TOL
@@ -338,6 +340,41 @@ class TestNanEvaluators:
         assert unbounded.quantile(1.0) == math.inf
         assert unbounded.quantile_many([0.5, 1.0]).tolist() == [1.0, math.inf]
         assert unbounded.cdf(-1.0) == 0.0
+
+
+def _uniform_then(value: float):
+    """U(0, 1) whose quantile evaluator returns ``value`` for u above 0.5."""
+    return from_quantile(lambda u: value if u > 0.5 else u, lambda x: min(1.0, max(0.0, x)), math.inf)
+
+
+SAMPLE = from_samples([0.1, 0.2])
+
+
+class TestInfiniteQuantiles:
+    """An infinite quantile is +inf at u = 1 (``test_infinite_ends_stay_allowed``)
+    or a DomainError naming u."""
+
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda f: f.quantile(0.75),
+            lambda f: f.quantile_many([0.25, 0.75]),
+            lambda f: f.p_moment(1.0),
+            lambda f: wasserstein_1d(f, SAMPLE, 1.0),
+            lambda f: w1_cdf_area(f, SAMPLE),
+            lambda f: comonotone_expectation(lambda a, b: a * b, f, SAMPLE),
+        ],
+        ids=["quantile", "quantile_many", "p_moment", "wasserstein_1d", "w1_cdf_area", "comonotone_expectation"],
+    )
+    def test_inf_below_one_names_u(self, door):
+        with pytest.raises(DomainError, match=r"^quantile evaluator returned inf at u = 0\.\d+$"):
+            door(_uniform_then(math.inf))
+
+    def test_minus_inf_names_u(self):
+        with pytest.raises(DomainError, match=r"^quantile evaluator returned -inf at u = 0\.75$"):
+            _uniform_then(-math.inf).quantile(0.75)
+        with pytest.raises(DomainError, match=r"^quantile evaluator returned -inf at u = 1\.0$"):
+            _uniform_then(-math.inf).quantile(1.0)
 
 
 class TestPMoment:
