@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .copulas import built_in_copula, validate_copula
-from .distances import w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
+from .distances import DistanceReport, w1_cdf_area, wasserstein_1d, wasserstein_shared_copula
 from .distributions import Distribution1D, _order, from_samples, tail_decay_diagnostic
-from .errors import CapacityError, CopulaOTError
+from .errors import CapacityError, CopulaOTError, PreconditionError
 from .oracle import TransportInstance, enumerate_extreme_couplings, solve_exact, transport_cost
 
 EXIT_OK = 0
@@ -50,10 +50,6 @@ CONTRADICTED_HYPOTHESIS = (
 
 class InputError(CopulaOTError):
     """Unparseable or structurally invalid CLI input."""
-
-
-class MissingHypothesis(CopulaOTError):
-    """Raised when a command needs an explicit hypothesis flag."""
 
 
 _CSV_FORMAT = {"delimiter": ",", "comments": None, "ndmin": 2, "dtype": float}
@@ -184,6 +180,14 @@ def _oracle_value(instance: TransportInstance, notices: list[str]) -> float | No
         return None
 
 
+def _result(report: DistanceReport) -> dict:
+    """A report's keys in a payload: W_p and W_p^p, or the bracket on W_p^p
+    when q differs from p."""
+    if report.is_bracket:
+        return {"bracket_pow_p": list(report.bracket_pth_power)}
+    return {"w_p": report.value, "w_p_pow_p": report.value_pth_power}
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -192,20 +196,18 @@ def cmd_dist1d(args: argparse.Namespace) -> tuple[int, dict]:
     f, g = _samples(args.file_a), _samples(args.file_b)
     notices: list[str] = []
 
-    quantile = wasserstein_1d(f, g, args.p)
-    methods = {"quantile_integral": quantile.value_pth_power}
+    reports = [wasserstein_1d(f, g, args.p)]
     if args.p == 1.0:
-        methods["cdf_area"] = w1_cdf_area(f, g).value_pth_power
+        reports.append(w1_cdf_area(f, g))
+    methods = {report.method: report.value_pth_power for report in reports}
     oracle_value = _oracle_value(TransportInstance.from_distributions(f, g, args.p), notices)
     if oracle_value is not None:
         methods["oracle_lp"] = oracle_value
     disagreement = _max_disagreement(list(methods.values()))
     payload = {
-        "command": "dist1d",
         "inputs": [args.file_a, args.file_b],
         "p": args.p,
-        "w_p": quantile.value,
-        "w_p_pow_p": quantile.value_pth_power,
+        **_result(reports[0]),
         "methods": methods,
         "max_method_disagreement": disagreement,
         "tolerance": tolerance,
@@ -217,7 +219,7 @@ def cmd_dist1d(args: argparse.Namespace) -> tuple[int, dict]:
 
 def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     if not args.assume_shared_copula:
-        raise MissingHypothesis(SHARED_COPULA_HYPOTHESIS)
+        raise PreconditionError(SHARED_COPULA_HYPOTHESIS)
     tolerance = _tolerance(args)
     a = read_csv_columns(args.file_a)
     b = read_csv_columns(args.file_b)
@@ -232,13 +234,13 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     )
     per_coord = list(report.per_coordinate_pth_power)
     payload: dict = {
-        "command": "distnd",
         "inputs": [args.file_a, args.file_b],
         "p": args.p,
         "q": report.q,
         "dimension": a.shape[1],
         "assumed_hypothesis": "both inputs share the same copula",
         "per_coordinate_w_p_pow_p": per_coord,
+        **_result(report),
         "notices": notices,
     }
 
@@ -250,15 +252,11 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
     oracle_value = _oracle_value(instance, notices)
     lower, upper = report.bracket_pth_power
     if report.is_bracket:
-        payload["bracket_pow_p"] = [lower, upper]
         payload["shared_copula_integral"] = float(sum(per_coord))
         notices.append(
             "orders p and q differ: no exact representation exists, reporting "
             "norm-equivalence brackets for W_{p,q}^p"
         )
-    else:
-        payload["w_p"] = report.value
-        payload["w_p_pow_p"] = report.value_pth_power
     code = EXIT_OK
     if oracle_value is not None:
         payload["oracle_lp"] = oracle_value
@@ -277,7 +275,6 @@ def cmd_distnd(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_check_copula(args: argparse.Namespace) -> tuple[int, dict]:
     report = validate_copula(built_in_copula(args.label, args.dim), args.resolution)
     payload = {
-        "command": "check-copula",
         "label": args.label,
         "dim": report.dim,
         "resolution": report.resolution,
@@ -309,7 +306,6 @@ def cmd_oracle_compare(args: argparse.Namespace) -> tuple[int, dict]:
     rows.sort(key=lambda r: (r["cost"], not r["is_comonotone"]))
     minimal = all(oracle.value <= row["cost"] + 1e-9 for row in rows)
     payload = {
-        "command": "oracle-compare",
         "inputs": [args.file_a, args.file_b],
         "p": args.p,
         "couplings": rows,
@@ -324,7 +320,6 @@ def cmd_diagnose_tails(args: argparse.Namespace) -> tuple[int, dict]:
     grid = [tok for tok in args.grid.split(",") if tok.strip()]
     rows = tail_decay_diagnostic(_samples(args.file), args.r, grid)
     payload = {
-        "command": "diagnose-tails",
         "inputs": [args.file],
         "r": args.r,
         "rows": [
@@ -379,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
+        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
         return p
 
     def two_files(name: str, run, help: str, p_default: float) -> argparse.ArgumentParser:
@@ -388,15 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=_positive_order, default=p_default)
         return p
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-
     def add_tolerance(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                        help=f"method-disagreement tolerance (default {DEFAULT_TOLERANCE})")
 
     p1 = two_files("dist1d", cmd_dist1d, "distance between two one-column sample files", 1.0)
-    add_common(p1)
     add_tolerance(p1)
 
     pn = two_files("distnd", cmd_distnd, "coordinate-additive distance between d-column files", 1.0)
@@ -404,22 +396,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ground-norm order (default: same as --p)")
     pn.add_argument("--assume-shared-copula", action="store_true",
                     help="declare that both inputs share the same copula")
-    add_common(pn)
     add_tolerance(pn)
 
     pc = command("check-copula", cmd_check_copula, "validate a built-in copula on a grid")
     pc.add_argument("label", help="one of M, W, Pi")
     pc.add_argument("--dim", type=int, default=2)
     pc.add_argument("--resolution", type=int, default=None)
-    add_common(pc)
 
-    add_common(two_files("oracle-compare", cmd_oracle_compare, "cost table over all extreme couplings", 2.0))
+    two_files("oracle-compare", cmd_oracle_compare, "cost table over all extreme couplings", 2.0)
 
     pt = command("diagnose-tails", cmd_diagnose_tails, "tail decay diagnostic along a grid")
     pt.add_argument("file")
     pt.add_argument("--r", type=float, required=True)
     pt.add_argument("--grid", required=True, help="comma-separated increasing positive reals")
-    add_common(pt)
     return parser
 
 
@@ -430,9 +419,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, payload = args.run(args)
     except CopulaOTError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, MissingHypothesis):
+        if isinstance(exc, PreconditionError):
             return EXIT_MISSING_HYPOTHESIS
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_INPUT
+    payload["command"] = args.command
     try:
         emit(payload, args.format)
         sys.stdout.flush()

@@ -17,9 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import Distribution1D, _box_volumes, _count, _reals
-from .errors import CapacityError, ConstructionError, DomainError, InvalidJointError
-# MAX_LATTICE_POINTS, validate_copula's budget, stays importable from here
-from .oracle import MAX_LATTICE_POINTS, TOTAL_MASS_TOL, DiscreteCoupling, _lattice_guard  # noqa: F401
+from .errors import CapacityError, DomainError, InvalidJointError
+from .oracle import TOTAL_MASS_TOL, DiscreteCoupling, _lattice_guard
 
 __all__ = [
     "CopulaFn",

@@ -192,14 +192,14 @@ def comonotone_expectation(
     Evaluates the integral of g(F^{-1}(u), H^{-1}(u)) over (0, 1): an exact
     finite sum for discrete margins, quadrature split where a discrete
     margin jumps otherwise. ``g_fn`` is called on floats and returns a real
-    number, or ``DomainError`` names it; an expectation that comes out NaN
-    (g was NaN somewhere, or +inf and -inf) is a ``DomainError`` too. The
-    caller asserts integrability of g along the comonotone path.
+    number, or ``DomainError`` names it; an expectation that is not finite
+    (g was NaN or infinite somewhere, or overflowed) is a ``DomainError`` too.
+    The caller asserts integrability of g along the comonotone path.
     """
     g = np.vectorize(lambda a, b: _real(g_fn(a, b), "g_fn must return a real number"), otypes=[float])
     value = _comonotone_integral((f, h), g, what="comonotone expectation")[0]
-    if math.isnan(value):
-        raise DomainError("the comonotone expectation is nan")
+    if not math.isfinite(value):
+        raise DomainError(f"the comonotone expectation is {value!r}")
     return value
 
 

@@ -275,7 +275,8 @@ class Distribution1D:
         parametric evaluator returns there.
 
         An x that is NaN or no real number, or a parametric evaluator's
-        return that is NaN or no real number, raises ``DomainError`` naming x.
+        return that is not finite or no real number, raises ``DomainError``
+        naming x; a finite return is clamped into [0, 1].
         """
         x = _real(x, "cdf requires a real argument x")
         if math.isnan(x):
@@ -289,8 +290,8 @@ class Distribution1D:
             return float(x > 0.0)
         what = f"cdf evaluator returned no real number at x = {x!r}"
         value = _real(self.cdf_fn(x), what)  # type: ignore[misc]
-        if math.isnan(value):
-            raise DomainError(f"cdf evaluator returned nan at x = {x!r}")
+        if not math.isfinite(value):
+            raise DomainError(f"cdf evaluator returned {value!r} at x = {x!r}")
         return min(1.0, max(0.0, value))
 
     def quantile(self, u: float) -> float:

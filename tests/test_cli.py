@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from copula_ot.cli import main, read_csv_columns, InputError
-from copula_ot.copulas import MAX_LATTICE_POINTS, default_resolution
+from copula_ot.copulas import default_resolution
+from copula_ot.oracle import MAX_LATTICE_POINTS
 from helpers import SUBPROCESS_ENV, strict_json
 
 

@@ -145,6 +145,8 @@ BAD_RETURNS = {
     "complex": 0.5 + 1j,
     "numpy complex": np.complex128(0.5 + 1j),
     "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
 }
 
 

@@ -332,14 +332,22 @@ class TestNanEvaluators:
             uniform_with_nan_hole().p_moment(2.0)
 
     def test_infinite_ends_stay_allowed(self):
+        # only the quantile's end is infinite; a finite cdf return is clamped
         unbounded = from_quantile(
             lambda u: math.inf if u == 1.0 else u / (1.0 - u),
-            lambda x: -math.inf if x < 0.0 else x / (1.0 + x),
+            lambda x: -1.0 if x < 0.0 else x / (1.0 + x),
             math.inf,
         )
         assert unbounded.quantile(1.0) == math.inf
         assert unbounded.quantile_many([0.5, 1.0]).tolist() == [1.0, math.inf]
         assert unbounded.cdf(-1.0) == 0.0
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_cdf_names_x(self, value):
+        # an infinite cdf return is no probability, whichever way it would clamp
+        infinite = from_quantile(lambda u: u, lambda x: value, math.inf)
+        with pytest.raises(DomainError, match=rf"^cdf evaluator returned {value!r} at x = -1\.0$"):
+            infinite.cdf(-1.0)
 
 
 def _uniform_then(value: float):

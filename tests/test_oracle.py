@@ -549,6 +549,25 @@ class TestSolveExact:
         with pytest.raises(CertificationError, match="^the plan's margins miss the weights by 1e-06$"):
             solve_exact(TransportInstance.from_distributions(f, g, 2.0))
 
+    def test_moved_line_mass_fails_the_dual_objective(self, monkeypatch):
+        # 9.9e-11 moved from each of the 30 cheapest diagonal cells to one of
+        # the 30 costliest keeps every margin within TOTAL_MASS_TOL, the total
+        # and the potentials, so only the dual objective can tell
+        k = np.arange(60)
+        f, g = uniform(k), uniform(1000.0 * k)
+        cheap, dear = k[:30], k[30:]
+        staircase = oracle._staircase
+
+        def moved(instance, cost):
+            mass, u, v = staircase(instance, cost)
+            mass[cheap, cheap] -= 9.9e-11
+            mass[dear, dear] += 9.9e-11
+            return mass, u, v
+
+        monkeypatch.setattr(oracle, "_staircase", moved)
+        with pytest.raises(CertificationError, match="^dual objective does not match the primal value$"):
+            solve_exact(TransportInstance.from_distributions(f, g, 2.0))
+
     def test_shuffled_line_sweep_matches_the_quantile_formula(self):
         # 300 desk-style pairs, atoms in random order, at four orders
         rng = np.random.default_rng(17)
